@@ -190,6 +190,24 @@ def _relative_error(x: np.ndarray, approx: np.ndarray) -> float:
     return err / nx if nx > 0 else err
 
 
+def _timed_report(x: np.ndarray, method: str, solve, product, epsilon=None,
+                  block_size=None, power_iters=None, seed=None) -> RunReport:
+    """Time solve(), then recompute the relative error of product(result) against x.
+
+    A result with an energy_trace (a QB run) reports it and its length.
+    """
+    t0 = time.perf_counter()
+    result = solve()
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    trace = getattr(result, "energy_trace", None)
+    return RunReport(dims=x.shape, method=method, epsilon=epsilon, block_size=block_size,
+                     power_iters=power_iters, seed=seed, estimated_rank=result.rank,
+                     relative_error=_relative_error(x, product(result)),
+                     wall_time_ms=elapsed_ms,
+                     iterations=None if trace is None else len(trace),
+                     energy_trace=None if trace is None else list(trace), result=result)
+
+
 def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False) -> RunReport:
     """Run the adaptive algorithm on x and report it.
 
@@ -201,68 +219,23 @@ def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False) -> RunRe
     eps_abs = cfg.epsilon * nx if rel else cfg.epsilon
     eps_rel = eps_abs / nx if nx > 0 else None
     run_cfg = replace(cfg, epsilon=eps_abs)
-    t0 = time.perf_counter()
-    qb = adaptive_qb(x, run_cfg)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    err = _relative_error(x, tprod(qb.q, qb.b)) if qb.rank else (1.0 if nx > 0 else 0.0)
-    return RunReport(
-        dims=x.shape,
-        method="adaptive",
-        epsilon={"absolute": eps_abs, "relative": eps_rel},
-        block_size=cfg.block_size,
-        power_iters=cfg.power_iters,
-        seed=cfg.seed.seed,
-        estimated_rank=qb.rank,
-        relative_error=err,
-        wall_time_ms=elapsed_ms,
-        iterations=len(qb.energy_trace),
-        energy_trace=list(qb.energy_trace),
-        result=qb,
-    )
+    return _timed_report(x, "adaptive", lambda: adaptive_qb(x, run_cfg),
+                         lambda qb: tprod(qb.q, qb.b),
+                         epsilon={"absolute": eps_abs, "relative": eps_rel},
+                         block_size=cfg.block_size, power_iters=cfg.power_iters,
+                         seed=cfg.seed.seed)
 
 
 def run_tsvd(x: np.ndarray, rank: int) -> RunReport:
     """Run the deterministic truncated tubal SVD at a fixed rank and report it."""
     x = np.asarray(x, dtype=np.float64)
-    t0 = time.perf_counter()
-    f = truncated_tsvd(x, rank)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    err = _relative_error(x, reconstruct(f))
-    return RunReport(
-        dims=x.shape,
-        method="tsvd",
-        epsilon=None,
-        block_size=None,
-        power_iters=None,
-        seed=None,
-        estimated_rank=rank,
-        relative_error=err,
-        wall_time_ms=elapsed_ms,
-        iterations=None,
-        energy_trace=None,
-        result=f,
-    )
+    return _timed_report(x, "tsvd", lambda: truncated_tsvd(x, rank), reconstruct)
 
 
 def run_randomized(x: np.ndarray, rank: int, oversample: int, power_iters: int,
                    seed: RngStream) -> RunReport:
-    """Run the fixed-rank randomized tubal SVD and report it."""
+    """Run the fixed-rank randomized tubal SVD and report it (library only, no CLI entry)."""
     x = np.asarray(x, dtype=np.float64)
-    t0 = time.perf_counter()
-    f = randomized_tsvd(x, rank, oversample, power_iters, seed)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    err = _relative_error(x, reconstruct(f))
-    return RunReport(
-        dims=x.shape,
-        method="randomized",
-        epsilon=None,
-        block_size=None,
-        power_iters=power_iters,
-        seed=seed.seed,
-        estimated_rank=rank,
-        relative_error=err,
-        wall_time_ms=elapsed_ms,
-        iterations=None,
-        energy_trace=None,
-        result=f,
-    )
+    return _timed_report(x, "randomized",
+                         lambda: randomized_tsvd(x, rank, oversample, power_iters, seed),
+                         reconstruct, power_iters=power_iters, seed=seed.seed)

@@ -9,7 +9,6 @@ requested error bound, and 1 on any error.
 
 import argparse
 import sys
-from pathlib import Path
 
 from .bench import (
     RunReport,
@@ -24,7 +23,7 @@ from .core import RngStream, frobenius_norm
 from .decomp import tubal_rank
 from .errors import TubalError
 from .randomized import AdaptiveConfig, qb_to_tsvd
-from .tio import load_pgm_stack, load_tns, save_pgm_stack, save_tns
+from .tio import load_pgm_stack, load_tns, pgm_files, save_pgm_stack, save_tns
 from .tprod import tprod
 
 _CASE_NAMES = {"1": "exact-lowrank", "2": "poly-decay", "3": "exp-decay"}
@@ -37,17 +36,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_adaptive_flags(p, with_eps=True):
-    if with_eps:
-        p.add_argument("--eps", type=float, required=True,
-                       help="error bound on the residual Frobenius norm")
-        p.add_argument("--rel", action="store_true",
-                       help="interpret --eps relative to the input norm")
-    p.add_argument("--block", type=int, default=25, help="block size per iteration")
-    p.add_argument("--power", type=int, default=1, help="power iteration rounds")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-
-
 def _config(args) -> AdaptiveConfig:
     return AdaptiveConfig(epsilon=args.eps, block_size=args.block,
                           power_iters=args.power, seed=RngStream(args.seed))
@@ -55,8 +43,15 @@ def _config(args) -> AdaptiveConfig:
 
 def _emit(report: RunReport, args) -> None:
     write_report(report, args.out)
-    if getattr(args, "csv", None):
+    if args.csv:
         append_csv(report, args.csv)
+
+
+def _run(x, args) -> RunReport:
+    """The adaptive run on x that the command's flags describe, with its report written."""
+    report = run_adaptive(x, _config(args), rel=args.rel)
+    _emit(report, args)
+    return report
 
 
 def _save_factors(prefix: str, factors) -> None:
@@ -72,24 +67,16 @@ def _adaptive_exit(report: RunReport) -> int:
 def _cmd_bench_synthetic(args) -> int:
     spec = SyntheticSpec(case=_CASE_NAMES[args.case], n=args.n, rank=args.rank,
                          delta=args.delta, seed=RngStream(args.seed))
-    x = gen_synthetic(spec)
-    report = run_adaptive(x, _config(args), rel=args.rel)
-    _emit(report, args)
-    return _adaptive_exit(report)
+    return _adaptive_exit(_run(gen_synthetic(spec), args))
 
 
 def _cmd_bench_hilbert(args) -> int:
     case = "hilbert-1" if args.kind == "1" else "hilbert-2"
-    x = gen_synthetic(SyntheticSpec(case=case, n=args.n))
-    report = run_adaptive(x, _config(args), rel=args.rel)
-    _emit(report, args)
-    return _adaptive_exit(report)
+    return _adaptive_exit(_run(gen_synthetic(SyntheticSpec(case=case, n=args.n)), args))
 
 
 def _cmd_adaptive(args) -> int:
-    x = load_tns(args.infile)
-    report = run_adaptive(x, _config(args), rel=args.rel)
-    _emit(report, args)
+    report = _run(load_tns(args.infile), args)
     if args.save_factors:
         qb = report.result
         if qb.rank:
@@ -109,14 +96,10 @@ def _cmd_tsvd(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    x = load_pgm_stack(args.images)
-    names = sorted(p.name for p in Path(args.images).iterdir()
-                   if p.suffix.lower() == ".pgm")
-    report = run_adaptive(x, _config(args), rel=args.rel)
-    _emit(report, args)
-    qb = report.result
-    recon = tprod(qb.q, qb.b) if qb.rank else x * 0.0
-    save_pgm_stack(args.save_recon, recon, names=names)
+    files = pgm_files(args.images)
+    report = _run(load_pgm_stack(files), args)
+    save_pgm_stack(args.save_recon, tprod(report.result.q, report.result.b),
+                   names=[p.name for p in files])
     return _adaptive_exit(report)
 
 
@@ -133,51 +116,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tubal",
                      description="Low tubal-rank tensor approximation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out", required=True, help="JSON report path")
+    report.add_argument("--csv", help="also append a CSV row here")
+    adaptive = argparse.ArgumentParser(add_help=False, parents=[report])
+    adaptive.add_argument("--eps", type=float, required=True,
+                          help="error bound on the residual Frobenius norm")
+    adaptive.add_argument("--rel", action="store_true",
+                          help="interpret --eps relative to the input norm")
+    adaptive.add_argument("--block", type=int, default=25, help="block size per iteration")
+    adaptive.add_argument("--power", type=int, default=1, help="power iteration rounds")
+    adaptive.add_argument("--seed", type=int, default=0, help="random seed")
 
     bench = sub.add_parser("bench", help="synthetic experiment runner")
     bsub = bench.add_subparsers(dest="bench_command", required=True)
 
-    syn = bsub.add_parser("synthetic", help="plateau-plus-decay random tensors")
+    syn = bsub.add_parser("synthetic", parents=[adaptive],
+                          help="plateau-plus-decay random tensors")
     syn.add_argument("--case", choices=sorted(_CASE_NAMES), required=True,
                      help="1 exact low rank, 2 polynomial decay, 3 exponential decay")
     syn.add_argument("--n", type=int, default=100)
     syn.add_argument("--rank", type=int, default=10, help="plateau width R")
     syn.add_argument("--delta", type=float, default=0.01, help="noise norm")
-    _add_adaptive_flags(syn)
-    syn.add_argument("--out", required=True, help="JSON report path")
-    syn.add_argument("--csv", help="also append a CSV row here")
     syn.set_defaults(func=_cmd_bench_synthetic)
 
-    hil = bsub.add_parser("hilbert", help="Hilbert-type deterministic tensors")
+    hil = bsub.add_parser("hilbert", parents=[adaptive],
+                          help="Hilbert-type deterministic tensors")
     hil.add_argument("--kind", choices=("1", "2"), required=True)
     hil.add_argument("--n", type=int, default=100)
-    _add_adaptive_flags(hil)
-    hil.add_argument("--out", required=True)
-    hil.add_argument("--csv", help="also append a CSV row here")
     hil.set_defaults(func=_cmd_bench_hilbert)
 
-    ada = sub.add_parser("adaptive", help="adaptive run on a TNS1 file")
+    ada = sub.add_parser("adaptive", parents=[adaptive], help="adaptive run on a TNS1 file")
     ada.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    _add_adaptive_flags(ada)
-    ada.add_argument("--out", required=True)
-    ada.add_argument("--csv", help="also append a CSV row here")
     ada.add_argument("--save-factors", metavar="PREFIX",
                      help="write PREFIX.U.tns / .S.tns / .V.tns")
     ada.set_defaults(func=_cmd_adaptive)
 
-    tsv = sub.add_parser("tsvd", help="deterministic truncated tubal SVD")
+    tsv = sub.add_parser("tsvd", parents=[report], help="deterministic truncated tubal SVD")
     tsv.add_argument("--in", dest="infile", required=True, metavar="FILE")
     tsv.add_argument("--rank", type=int, required=True)
-    tsv.add_argument("--out", required=True)
-    tsv.add_argument("--csv", help="also append a CSV row here")
     tsv.add_argument("--save-factors", metavar="PREFIX")
     tsv.set_defaults(func=_cmd_tsvd)
 
-    cmp_ = sub.add_parser("compress", help="compress a directory of PGM images")
+    cmp_ = sub.add_parser("compress", parents=[adaptive],
+                          help="compress a directory of PGM images")
     cmp_.add_argument("--images", required=True, metavar="DIR")
-    _add_adaptive_flags(cmp_)
-    cmp_.add_argument("--out", required=True)
-    cmp_.add_argument("--csv", help="also append a CSV row here")
     cmp_.add_argument("--save-recon", required=True, metavar="DIR",
                       help="directory for reconstructed images")
     cmp_.set_defaults(func=_cmd_compress)

@@ -6,6 +6,10 @@ slices ``x[:, :, k]`` are contiguous and element (i1, i2, i3) sits at
 linear offset ``i1 + I1*i2 + I1*I2*i3``.  The tube transform is the
 unnormalized forward DFT along mode 3 with the 1/I3 factor on the
 inverse, matching ``fft(x, [], 3)`` / ``ifft(x, [], 3)`` semantics.
+
+Every t-operation runs on the half spectrum, the (K, I1, I2) stack of the
+K = I3//2 + 1 leading DFT slices, as batched matrix operations;
+rfft_tubes and irfft_tubes are the only conversions to and from it.
 """
 
 from dataclasses import dataclass
@@ -61,19 +65,42 @@ def idft_tubes(xhat: np.ndarray) -> np.ndarray:
     return c.real.copy()
 
 
-def rfft_tubes(x: np.ndarray) -> np.ndarray:
-    """Leading ceil((I3+1)/2) DFT slices of a real tensor (the rest are conjugate mirrors)."""
-    return np.fft.rfft(np.asarray(x, dtype=np.float64), axis=2)
-
-
-def irfft_tubes(head: np.ndarray, i3: int) -> np.ndarray:
-    """Inverse of rfft_tubes given the leading half-spectrum and the tube length."""
-    return np.fft.irfft(head, n=i3, axis=2)
-
-
 def num_head_slices(i3: int) -> int:
     """Number of leading tube-frequency slices that determine the rest: ceil((I3+1)/2)."""
     return i3 // 2 + 1
+
+
+def rfft_tubes(x: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real (I1, I2, I3) tensor: the (K, I1, I2) stack of DFT slices 0..K-1.
+
+    The other I3 - K slices are conjugate mirrors.  Slices are C-ordered
+    matrices, so slice products go straight to BLAS.
+    """
+    h = np.fft.rfft(np.asarray(x, dtype=np.float64), axis=2)
+    return np.ascontiguousarray(np.moveaxis(h, 2, 0))
+
+
+def irfft_tubes(h: np.ndarray, i3: int) -> np.ndarray:
+    """Real (I1, I2, I3) tensor whose half spectrum is the (K, I1, I2) stack h."""
+    return np.fft.irfft(np.moveaxis(h, 0, 2), n=i3, axis=2)
+
+
+def row_energies(h: np.ndarray, i3: int) -> np.ndarray:
+    """Squared Frobenius norm of each horizontal slice of irfft_tubes(h, i3), by Parseval.
+
+    Slice k weighs 2/I3, for itself and its mirror, except the DC slice
+    and (for even I3) the Nyquist slice, which are their own mirrors: 1/I3.
+    """
+    w = np.full(h.shape[0], 2.0 / i3)
+    w[0] = 1.0 / i3
+    if i3 % 2 == 0:
+        w[-1] = 1.0 / i3
+    return w @ (h.real ** 2 + h.imag ** 2).sum(axis=2)
+
+
+def adjoint(h: np.ndarray) -> np.ndarray:
+    """Slice-wise conjugate transpose of a spectral stack: the spectrum of transpose(x)."""
+    return h.conj().transpose(0, 2, 1)
 
 
 def transpose(x: np.ndarray) -> np.ndarray:
@@ -95,14 +122,6 @@ def identity_tensor(i1: int, i3: int) -> np.ndarray:
 
 def frobenius_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(x)))
-
-
-def inner_product(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise DimMismatch(f"inner product needs equal dims, got {x.shape} vs {y.shape}")
-    return float(np.dot(x.ravel(), y.ravel()))
 
 
 def concat_mode1(a: np.ndarray, b: np.ndarray) -> np.ndarray:

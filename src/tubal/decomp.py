@@ -1,21 +1,20 @@
 """Deterministic tubal decompositions: t-QR, orthogonalization, truncated t-SVD.
 
-All factorizations run per frontal slice in the tube-frequency domain, on
-the leading ceil((I3+1)/2) slices only; trailing slices are conjugate
-mirrors (singular values mirror without conjugation), so the inverse
-transform of the assembled half-spectrum is exactly real.
+All factorizations run as one batched call on the half-spectrum stack of
+rfft_tubes; the trailing slices are conjugate mirrors (singular values
+mirror without conjugation), so the inverse transform of the assembled
+half-spectrum is exactly real.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import frobenius_norm, irfft_tubes, rfft_tubes, transpose
+from .core import adjoint, irfft_tubes, rfft_tubes, row_energies
 from .errors import DegenerateInput, DimMismatch, RankOutOfRange
-from .tprod import tprod
 
-# Inputs with Frobenius norm below this (times sqrt of the element count)
-# carry no direction information worth orthonormalizing.
+# Entries this small relative to the data's scale carry no direction
+# information worth orthonormalizing.
 ZERO_INPUT_RTOL = 1e-14
 
 
@@ -34,57 +33,73 @@ class TSVDFactors:
     rank: int
 
 
-def t_qr(x: np.ndarray):
-    """Tubal QR: returns (q, r) with x = q * r and q of shape (I1, min(I1,I2), I3)."""
+def _check3(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
-        raise DimMismatch("t_qr expects a third-order tensor")
-    i3 = x.shape[2]
-    head = np.moveaxis(rfft_tubes(x), 2, 0)
-    qh, rh = np.linalg.qr(head)
-    q = irfft_tubes(np.moveaxis(qh, 0, 2), i3)
-    r = irfft_tubes(np.moveaxis(rh, 0, 2), i3)
-    return q, r
+        raise DimMismatch(f"{name} expects a third-order tensor")
+    return x
+
+
+def t_qr(x: np.ndarray):
+    """Tubal QR: returns (q, r) with x = q * r and q of shape (I1, min(I1,I2), I3)."""
+    x = _check3(x, "t_qr")
+    qh, rh = np.linalg.qr(rfft_tubes(x))
+    return irfft_tubes(qh, x.shape[2]), irfft_tubes(rh, x.shape[2])
+
+
+def orth_spectral(h: np.ndarray, i3: int, scale: float = 1.0) -> np.ndarray:
+    """Slice-wise orthonormal basis of the half spectrum h of an I3-tube tensor.
+
+    Raises DegenerateInput when that tensor's entries are at most
+    ZERO_INPUT_RTOL * scale in root-mean-square size.
+    """
+    _, m, n = h.shape
+    if np.sqrt(row_energies(h, i3).sum()) <= ZERO_INPUT_RTOL * np.sqrt(m * n * i3) * scale:
+        raise DegenerateInput("cannot orthonormalize a numerically zero tensor")
+    return np.linalg.qr(h)[0]
 
 
 def orth(x: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the lateral range of x (the Q part of t_qr).
 
-    Raises DegenerateInput when x is numerically zero, since any basis
-    returned for it would be arbitrary.
+    Raises DegenerateInput when x is numerically zero (root-mean-square
+    entry at most ZERO_INPUT_RTOL), since any basis returned for it would
+    be arbitrary.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if frobenius_norm(x) <= ZERO_INPUT_RTOL * np.sqrt(x.size):
-        raise DegenerateInput("cannot orthonormalize a numerically zero tensor")
-    q, _ = t_qr(x)
-    return q
+    x = _check3(x, "orth")
+    return irfft_tubes(orth_spectral(rfft_tubes(x), x.shape[2]), x.shape[2])
+
+
+def tsvd_factors(h: np.ndarray, rank: int, i3: int, lift=None) -> TSVDFactors:
+    """Rank-R tubal SVD factors of the tensor with half spectrum h.
+
+    With lift, a (K, I1, M) spectral stack with orthonormal columns, h is
+    the projection lift^H x of some x and u is lifted to lift @ u.
+    """
+    uh, sh, vhh = np.linalg.svd(h, full_matrices=False)
+    uh = uh[:, :, :rank]
+    if lift is not None:
+        uh = lift @ uh
+    sdiag = np.zeros((h.shape[0], rank, rank), dtype=np.complex128)
+    idx = np.arange(rank)
+    sdiag[:, idx, idx] = sh[:, :rank]
+    return TSVDFactors(u=irfft_tubes(uh, i3), s=irfft_tubes(sdiag, i3),
+                       v=irfft_tubes(adjoint(vhh[:, :rank, :]), i3), rank=rank)
 
 
 def truncated_tsvd(x: np.ndarray, rank: int) -> TSVDFactors:
     """Rank-R tubal SVD via per-slice truncated SVD in the frequency domain."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise DimMismatch("truncated_tsvd expects a third-order tensor")
+    x = _check3(x, "truncated_tsvd")
     i1, i2, i3 = x.shape
     if not 1 <= rank <= min(i1, i2):
         raise RankOutOfRange(f"rank {rank} not in [1, {min(i1, i2)}] for dims {x.shape}")
-    head = np.moveaxis(rfft_tubes(x), 2, 0)
-    uh, sh, vhh = np.linalg.svd(head, full_matrices=False)
-    uh = uh[:, :, :rank]
-    sh = sh[:, :rank]
-    vh = vhh[:, :rank, :].conj().transpose(0, 2, 1)
-    sdiag = np.zeros((head.shape[0], rank, rank), dtype=np.complex128)
-    idx = np.arange(rank)
-    sdiag[:, idx, idx] = sh
-    u = irfft_tubes(np.moveaxis(uh, 0, 2), i3)
-    s = irfft_tubes(np.moveaxis(sdiag, 0, 2), i3)
-    v = irfft_tubes(np.moveaxis(vh, 0, 2), i3)
-    return TSVDFactors(u=u, s=s, v=v, rank=rank)
+    return tsvd_factors(rfft_tubes(x), rank, i3)
 
 
 def reconstruct(f: TSVDFactors) -> np.ndarray:
     """Multiply the factors back together: u * s * transpose(v)."""
-    return tprod(tprod(f.u, f.s), transpose(f.v))
+    h = rfft_tubes(f.u) @ rfft_tubes(f.s) @ adjoint(rfft_tubes(f.v))
+    return irfft_tubes(h, f.u.shape[2])
 
 
 def tubal_rank(x: np.ndarray, tol="auto") -> int:
@@ -95,13 +110,10 @@ def tubal_rank(x: np.ndarray, tol="auto") -> int:
     matrix-rank default.  Mirrored slices share singular values, so only
     the leading half is examined.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise DimMismatch("tubal_rank expects a third-order tensor")
+    x = _check3(x, "tubal_rank")
     if x.size == 0:
         return 0
-    head = np.moveaxis(rfft_tubes(x), 2, 0)
-    svals = np.linalg.svd(head, compute_uv=False)
+    svals = np.linalg.svd(rfft_tubes(x), compute_uv=False)
     smax = float(svals.max(initial=0.0))
     if smax == 0.0:
         return 0

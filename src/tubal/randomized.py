@@ -18,16 +18,16 @@ import numpy as np
 
 from .core import (
     RngStream,
-    concat_mode1,
-    concat_mode2,
+    adjoint,
     frobenius_norm,
     gaussian_matrix,
     gaussian_tensor,
-    transpose,
+    irfft_tubes,
+    rfft_tubes,
+    row_energies,
 )
-from .decomp import TSVDFactors, orth, truncated_tsvd
+from .decomp import TSVDFactors, orth_spectral, tsvd_factors
 from .errors import DegenerateInput, RankOutOfRange
-from .tprod import tprod
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,15 @@ class QBApprox:
     achieved: bool
 
 
+def _power_iterate(xh: np.ndarray, q: np.ndarray, i3: int, scale: float,
+                   rounds: int) -> np.ndarray:
+    """Subspace iteration on the spectral basis q; x^H q is (q^H x)^H, so x is not copied."""
+    for _ in range(rounds):
+        q = orth_spectral(adjoint(adjoint(q) @ xh), i3, scale)
+        q = orth_spectral(xh @ q, i3, scale)
+    return q
+
+
 def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
                     rng) -> TSVDFactors:
     """Fixed-rank randomized tubal SVD with subspace iteration.
@@ -82,6 +91,7 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     power_iters rounds of alternating products with x and its transpose
     (orthonormalizing after every half-step for stability), projects, and
     recovers the factors from the truncated t-SVD of the projection.
+    Everything runs on the half spectrum of x, transformed once.
     """
     x = np.asarray(x, dtype=np.float64)
     i1, i2, i3 = x.shape
@@ -90,30 +100,30 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
             f"need 1 <= rank and rank + oversample <= {min(i1, i2)}, "
             f"got rank={rank}, oversample={oversample}"
         )
-    omega = gaussian_tensor(i2, rank + oversample, i3, rng)
-    q = orth(tprod(x, omega))
-    for _ in range(power_iters):
-        q = orth(tprod(transpose(x), q))
-        q = orth(tprod(x, q))
-    b = tprod(transpose(q), x)
-    f = truncated_tsvd(b, rank)
-    return TSVDFactors(u=tprod(q, f.u), s=f.s, v=f.v, rank=rank)
+    omega = rfft_tubes(gaussian_tensor(i2, rank + oversample, i3, rng))
+    xh = rfft_tubes(x)
+    # The degeneracy test is relative to the root-mean-square entry of x.
+    scale = frobenius_norm(x) / np.sqrt(max(x.size, 1))
+    q = _power_iterate(xh, orth_spectral(xh @ omega, i3, scale), i3, scale, power_iters)
+    return tsvd_factors(adjoint(q) @ xh, rank, i3, lift=q)
 
 
 def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBApprox:
     """Grow a QB factorization block by block until ||x - q*b||_F < epsilon.
 
-    Each iteration sketches block_size new directions against the part of
-    x not yet captured, orthonormalizes them against the accumulated
-    basis, and updates the residual energy by the recursion instead of
-    forming the residual.  On success the final block is trimmed slice by
-    slice to the smallest rank still meeting the bound (disable with
-    trim=False to keep whole blocks, e.g. when inspecting the trace).
+    Each iteration sketches block_size new directions (fewer for a last
+    block that reaches the rank cap) against the part of x not yet
+    captured, orthonormalizes them against the accumulated basis, and
+    updates the residual energy by the recursion instead of forming the
+    residual.  On success the final block is trimmed slice by slice to
+    the smallest rank still meeting the bound (disable with trim=False to
+    keep whole blocks, e.g. when inspecting the trace).  x is transformed
+    once; q and b grow on its half spectrum and are transformed back once.
 
     If the rank cap is reached first, the best factorization found is
-    returned with achieved=False.  A degenerate (numerically zero) sketch
-    means x is already fully captured; the current factors are returned
-    and achieved reflects the energy bound.
+    returned with achieved=False.  A degenerate (numerically zero relative
+    to x) sketch means x is already fully captured; the current factors
+    are returned and achieved reflects the energy bound.
     """
     x = np.asarray(x, dtype=np.float64)
     i1, i2, i3 = x.shape
@@ -124,82 +134,78 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
     gen = cfg.seed.generator()
     eps2 = cfg.epsilon ** 2
 
-    q_acc = None
-    b_acc = None
+    xh = rfft_tubes(x)
+    nx = frobenius_norm(x)
+    # The degeneracy test is relative to the root-mean-square entry of x.
+    scale = nx / np.sqrt(max(x.size, 1))
+    qh = np.zeros((xh.shape[0], i1, 0), dtype=np.complex128)
+    bh = np.zeros((xh.shape[0], 0, i2), dtype=np.complex128)
     trace: list = []
-    energy = frobenius_norm(x) ** 2
-    energy_before_last = energy
+    energy = nx ** 2
     achieved = False
-    bound_met = False
 
-    i = 1
-    while i * b_size <= max_rank:
-        omega = gaussian_tensor(i2, b_size, i3, gen)
+    while bh.shape[1] < max_rank:
+        rank = bh.shape[1]
+        omega = rfft_tubes(gaussian_tensor(i2, min(b_size, max_rank - rank), i3, gen))
         try:
-            sketch = tprod(x, omega)
-            if q_acc is not None:
-                sketch = sketch - tprod(q_acc, tprod(b_acc, omega))
-            q_i = orth(sketch)
-            for _ in range(cfg.power_iters):
-                q_i = orth(tprod(transpose(x), q_i))
-                q_i = orth(tprod(x, q_i))
-            if q_acc is not None:
-                q_i = orth(q_i - tprod(q_acc, tprod(transpose(q_acc), q_i)))
+            sketch = xh @ omega
+            if rank:
+                sketch -= qh @ (bh @ omega)
+            q_i = _power_iterate(xh, orth_spectral(sketch, i3, scale), i3, scale,
+                                 cfg.power_iters)
+            if rank:
+                q_i = orth_spectral(q_i - qh @ adjoint(adjoint(q_i) @ qh), i3)
         except DegenerateInput:
             achieved = energy < eps2
             break
-        b_i = tprod(transpose(q_i), x)
-        q_acc = q_i if q_acc is None else concat_mode2(q_acc, q_i)
-        b_acc = b_i if b_acc is None else concat_mode1(b_acc, b_i)
+        b_i = adjoint(q_i) @ xh
+        qh = np.concatenate([qh, q_i], axis=2)
+        bh = np.concatenate([bh, b_i], axis=1)
         energy_before_last = energy
-        energy -= frobenius_norm(b_i) ** 2
-        bound_met = energy < eps2
-        if energy < 0.0:
-            # Cancellation noise; the true squared residual is ~0.
-            energy = 0.0
-            bound_met = True
-        trace.append(energy)
-        if bound_met:
-            achieved = True
+        energy -= float(row_energies(b_i, i3).sum())
+        achieved = energy < eps2
+        # Below 0 is cancellation noise; the true squared residual is ~0.
+        trace.append(max(energy, 0.0))
+        if achieved:
             break
-        i += 1
 
-    if q_acc is None:
-        q_acc = np.zeros((i1, 0, i3))
-        b_acc = np.zeros((0, i2, i3))
-    qb = QBApprox(q=q_acc, b=b_acc, rank=q_acc.shape[1], energy_trace=trace,
-                  achieved=achieved)
-    if bound_met and trim and qb.rank:
-        qb = trim_last_block(qb, energy_before_last, cfg.epsilon)
+    qb = QBApprox(q=irfft_tubes(qh, i3), b=irfft_tubes(bh, i3), rank=bh.shape[1],
+                  energy_trace=trace, achieved=achieved)
+    # A run that succeeds with blocks behind it succeeded on its last block:
+    # a degenerate sketch can only certify the bound before the first one.
+    if achieved and trim and trace:
+        qb = trim_last_block(qb, energy_before_last, cfg.epsilon, b_size)
     return qb
 
 
-def trim_last_block(qb: QBApprox, energy_before_last: float,
-                    epsilon: float) -> QBApprox:
+def trim_last_block(qb: QBApprox, energy_before_last: float, epsilon: float,
+                    block_size: int | None = None) -> QBApprox:
     """Shrink the final block of a successful QB run to the exact rank needed.
 
     Re-subtracts the squared norms of the final block's horizontal slices
     from the energy as it stood before that block, keeping slices until
     the bound is first met; the matching lateral slices of q are dropped
     without recomputation, which is valid because the energy recursion
-    never involves q.
+    never involves q.  The final block follows len(energy_trace) - 1 blocks
+    of block_size rows, and is partial when it stopped at the rank cap;
+    block_size None means qb is made of equal blocks.
     """
     blocks = len(qb.energy_trace)
-    if blocks == 0 or qb.rank % blocks != 0:
-        raise ValueError("trim needs a QB built from whole blocks")
-    b_size = qb.rank // blocks
+    if block_size is None and blocks and qb.rank % blocks == 0:
+        block_size = qb.rank // blocks
+    if not blocks or block_size is None:
+        raise ValueError("trim needs a QB built from whole blocks, or its block_size")
+    start = (blocks - 1) * block_size
     eps2 = epsilon ** 2
-    last = qb.b[qb.rank - b_size:, :, :]
-    if energy_before_last - frobenius_norm(last) ** 2 >= eps2:
+    rows = (qb.b[start:] ** 2).sum(axis=(1, 2))
+    if energy_before_last - rows.sum() >= eps2:
         return qb
-    energy = energy_before_last
-    kept = b_size
-    for j in range(1, b_size + 1):
-        energy -= frobenius_norm(last[j - 1]) ** 2
+    energy, kept = energy_before_last, 0
+    for kept, row in enumerate(rows, start=1):
+        energy -= float(row)
         if energy < eps2:
-            kept = j
             break
-    rank = (blocks - 1) * b_size + kept
+    rank = start + kept
     trace = list(qb.energy_trace[:-1]) + [max(energy, 0.0)]
     return QBApprox(q=qb.q[:, :rank, :], b=qb.b[:rank, :, :], rank=rank,
                     energy_trace=trace, achieved=True)
@@ -210,8 +216,7 @@ def qb_to_tsvd(qb: QBApprox, rank="all") -> TSVDFactors:
     r = qb.rank if rank == "all" else int(rank)
     if not 1 <= r <= qb.rank:
         raise RankOutOfRange(f"rank {rank} not in [1, {qb.rank}]")
-    f = truncated_tsvd(qb.b, r)
-    return TSVDFactors(u=tprod(qb.q, f.u), s=f.s, v=f.v, rank=r)
+    return tsvd_factors(rfft_tubes(qb.b), r, qb.b.shape[2], lift=rfft_tubes(qb.q))
 
 
 def _orth_cols(a: np.ndarray) -> np.ndarray:
@@ -233,24 +238,20 @@ def blocked_randqb_matrix(a: np.ndarray, epsilon: float, block_size: int,
     m, n = a.shape
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     x = a.copy()
-    q_acc = None
-    b_acc = None
-    max_blocks = -(-min(m, n) // block_size)
-    for _ in range(max_blocks):
-        omega = gaussian_matrix(n, block_size, gen)
+    q_acc = np.zeros((m, 0))
+    b_acc = np.zeros((0, n))
+    while q_acc.shape[1] < min(m, n):
+        omega = gaussian_matrix(n, min(block_size, min(m, n) - q_acc.shape[1]), gen)
         q_i = _orth_cols(x @ omega)
         for _ in range(power_iters):
             q_i = _orth_cols(x.T @ q_i)
             q_i = _orth_cols(x @ q_i)
-        if q_acc is not None:
+        if q_acc.shape[1]:
             q_i = _orth_cols(q_i - q_acc @ (q_acc.T @ q_i))
         b_i = q_i.T @ x
         x = x - q_i @ b_i
-        q_acc = q_i if q_acc is None else np.hstack([q_acc, q_i])
-        b_acc = b_i if b_acc is None else np.vstack([b_acc, b_i])
+        q_acc = np.hstack([q_acc, q_i])
+        b_acc = np.vstack([b_acc, b_i])
         if np.linalg.norm(x) <= epsilon:
             break
-    if q_acc is None:
-        q_acc = np.zeros((m, 0))
-        b_acc = np.zeros((0, n))
     return q_acc, b_acc, q_acc.shape[1]

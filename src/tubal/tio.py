@@ -127,18 +127,27 @@ def save_pgm(path, image: np.ndarray) -> None:
         f.write(data.tobytes())
 
 
-def load_pgm_stack(dir_path) -> np.ndarray:
-    """Load every ``*.pgm`` in a directory (lexicographic order) as one tensor.
-
-    Images become frontal slices: the result has shape
-    (height, width, num_images), values in [0, 1].
-    """
+def pgm_files(dir_path) -> list:
+    """The ``*.pgm`` files of a directory in lexicographic order: the frontal slice order."""
     d = Path(dir_path)
     if not d.is_dir():
         raise EmptyDir(f"{dir_path} is not a directory")
     files = sorted(p for p in d.iterdir() if p.suffix.lower() == ".pgm")
     if not files:
         raise EmptyDir(f"no .pgm files in {dir_path}")
+    return files
+
+
+def load_pgm_stack(source) -> np.ndarray:
+    """Load PGM images as one tensor whose frontal slices are the images.
+
+    source is a directory, read in pgm_files order, or a list of PGM files,
+    read in the order given.  The result has shape
+    (height, width, num_images), values in [0, 1].
+    """
+    files = pgm_files(source) if isinstance(source, (str, os.PathLike)) else list(source)
+    if not files:
+        raise EmptyDir("no .pgm files to stack")
     images = [load_pgm(p) for p in files]
     shape = images[0].shape
     for p, img in zip(files, images):

@@ -37,10 +37,7 @@ def tprod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_conformable(x, y)
-    xh = np.moveaxis(rfft_tubes(x), 2, 0)
-    yh = np.moveaxis(rfft_tubes(y), 2, 0)
-    ch = np.matmul(xh, yh)
-    return irfft_tubes(np.moveaxis(ch, 0, 2), x.shape[2])
+    return irfft_tubes(rfft_tubes(x) @ rfft_tubes(y), x.shape[2])
 
 
 def tprod_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -65,7 +62,7 @@ def tprod_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             circ[r * i1:(r + 1) * i1, c * i2:(c + 1) * i2] = x[:, :, (r - c) % i3]
     unfolded = y.transpose(2, 0, 1).reshape(i2 * i3, i4)
     prod = circ @ unfolded
-    return np.moveaxis(prod.reshape(i3, i1, i4), 0, 2)
+    return prod.reshape(i3, i1, i4).transpose(1, 2, 0)
 
 
 def is_orthogonal(q: np.ndarray, tol: float) -> bool:

@@ -14,7 +14,6 @@ from tubal import (
     gaussian_tensor,
     identity_tensor,
     idft_tubes,
-    inner_product,
     tprod,
     transpose,
 )
@@ -157,28 +156,13 @@ def test_norm_all_ones():
     assert frobenius_norm(np.ones((2, 3, 4))) == pytest.approx(np.sqrt(24), rel=1e-15)
 
 
-def test_inner_product_gives_squared_norm(rand_tensor):
-    x = rand_tensor(3, 4, 5, seed=14)
-    assert inner_product(x, x) == pytest.approx(frobenius_norm(x) ** 2, rel=1e-14)
-
-
-def test_inner_product_with_zero(rand_tensor):
-    x = rand_tensor(3, 4, 5, seed=15)
-    assert inner_product(x, np.zeros_like(x)) == 0.0
-
-
-def test_inner_product_dim_mismatch(rand_tensor):
-    with pytest.raises(DimMismatch):
-        inner_product(rand_tensor(2, 2, 2), rand_tensor(2, 2, 3))
-
-
 def test_adjoint_identity(rand_tensor):
     # <q * x, y> = <x, transpose(q) * y> for conformable tensors
     q = rand_tensor(5, 4, 3, seed=16)
     x = rand_tensor(4, 2, 3, seed=17)
     y = rand_tensor(5, 2, 3, seed=18)
-    lhs = inner_product(tprod(q, x), y)
-    rhs = inner_product(x, tprod(transpose(q), y))
+    lhs = np.vdot(tprod(q, x), y)
+    rhs = np.vdot(x, tprod(transpose(q), y))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 

@@ -159,7 +159,7 @@ def test_adaptive_orthogonality_maintained(rand_tensor):
         assert is_orthogonal(qb.q[:, :i * 7, :], 1e-8)
 
 
-@pytest.mark.parametrize("alpha", [0.1, 10.0])
+@pytest.mark.parametrize("alpha", [0.1, 10.0, 1e-20, 1e-30, 1e30])
 def test_adaptive_scale_equivariance(alpha, rand_tensor):
     x = rand_tensor(24, 20, 5, seed=27)
     eps = 0.15 * frobenius_norm(x)
@@ -209,8 +209,44 @@ def test_adaptive_block_larger_than_cap(rand_tensor):
     cfg = AdaptiveConfig(epsilon=1e-3, block_size=20, power_iters=0,
                          seed=RngStream(36))
     qb = adaptive_qb(x, cfg)
-    assert qb.rank == 0 and not qb.achieved
-    assert qb.q.shape == (10, 0, 3) and qb.b.shape == (0, 10, 3)
+    # the one block is narrowed to the rank cap, which captures all of x
+    assert qb.rank == 10 and qb.achieved
+    assert qb.q.shape == (10, 10, 3) and qb.b.shape == (10, 10, 3)
+    assert qb_error(x, qb) <= cfg.epsilon
+
+
+@pytest.mark.parametrize("block_size", [7, 25, 30])
+def test_partial_last_block_reaches_rank_cap(block_size, rand_tensor):
+    x = rand_tensor(30, 30, 3, seed=64)
+    nx = frobenius_norm(x)
+    cfg = AdaptiveConfig(epsilon=1e-6 * nx, block_size=block_size, power_iters=1,
+                         seed=RngStream(65))
+    qb = adaptive_qb(x, cfg)
+    assert qb.achieved and qb.rank == 30
+    assert qb_error(x, qb) <= cfg.epsilon
+    a = x[:, :, 0]
+    q, b, rank = blocked_randqb_matrix(a, 1e-6 * np.linalg.norm(a), block_size,
+                                       power_iters=1, rng=RngStream(65))
+    assert rank == 30 and q.shape == (30, 30)
+    assert np.linalg.norm(a - q @ b) <= 1e-6 * np.linalg.norm(a)
+
+
+def test_trim_partial_last_block(rand_tensor):
+    x = rand_tensor(12, 10, 3, seed=66)
+    cfg = AdaptiveConfig(epsilon=1e-9, block_size=4, power_iters=0,
+                         seed=RngStream(67))
+    qb = adaptive_qb(x, cfg, trim=False)
+    assert qb.rank == 10 and len(qb.energy_trace) == 3  # blocks of 4, 4 and 2
+    rows = [frobenius_norm(qb.b[j]) ** 2 for j in range(10)]
+    e_before = frobenius_norm(x) ** 2 - sum(rows[:8])
+    eps = np.sqrt(e_before - rows[8] - 0.5 * rows[9])
+    trimmed = trim_last_block(qb, e_before, eps, block_size=4)
+    assert trimmed.rank == 10
+    eps = np.sqrt(e_before - 0.5 * rows[8])
+    trimmed = trim_last_block(qb, e_before, eps, block_size=4)
+    assert trimmed.rank == 9 and trimmed.q.shape[1] == 9
+    with pytest.raises(ValueError):
+        trim_last_block(qb, e_before, eps)
 
 
 def test_adaptive_max_rank_validation(rand_tensor):
