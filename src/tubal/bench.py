@@ -16,8 +16,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RngStream, frobenius_norm, gaussian_tensor, transpose
-from .decomp import orth, reconstruct, truncated_tsvd
+from .core import (
+    RngStream,
+    adjoint,
+    frobenius_norm,
+    gaussian_tensor,
+    irfft_tubes,
+    rfft_tubes,
+)
+from .decomp import reconstruct, truncated_tsvd
 from .errors import SpecInvalid
 from .randomized import AdaptiveConfig, adaptive_qb, randomized_tsvd
 from .tprod import tprod
@@ -50,10 +57,13 @@ class SyntheticSpec:
 
 
 def decay_profile(case: str, n: int, rank: int) -> np.ndarray:
-    """Diagonal profile shared by every frontal slice of the middle tensor.
+    """Singular values d of the decay cases, constant along every tube.
 
     poly-decay: R ones then 2^-2, 3^-2, ..., (n-R+1)^-2.
     exp-decay:  R ones then 10^-1, 10^-2, ..., 10^-(n-R).
+
+    Constant tubes have all their spectrum on the DC slice, so before noise
+    the tensor is the same matrix U0 diag(d) V0^T on every frontal slice.
     """
     d = np.ones(n)
     tail = np.arange(1, n - rank + 1, dtype=np.float64)
@@ -67,11 +77,23 @@ def decay_profile(case: str, n: int, rank: int) -> np.ndarray:
 
 
 def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
-    """Build the tensor described by ``spec``.
+    """Build the tensor described by ``spec``: u * s * transpose(v), plus noise.
 
-    Random cases draw, in order: the two Gaussian tensors that are
-    orthonormalized into u and v, the singular tubes (exact-lowrank
-    only), and the noise tensor.  Identical specs therefore produce
+    u and v are the orthonormal factors of two n x n x n Gaussian draws,
+    s is f-diagonal, and x is built on the half spectrum:
+
+    exact-lowrank: s holds R Gaussian singular tubes.  Householder QR makes
+        the leading R columns of Q depend only on the leading R columns of
+        the draw, so only the first R lateral slices of each draw are
+        transformed and orthonormalized; x is one batched product and one
+        inverse transform.
+    poly-decay, exp-decay: s holds the constant tubes of decay_profile, so
+        x is the same matrix U0 diag(d) V0^T on every frontal slice, where
+        U0 and V0 are the Q factors of the sums of the draws' frontal slices.
+
+    Random cases draw, in order: the two Gaussian tensors behind u and v,
+    the singular tubes (exact-lowrank only), and the noise tensor, scaled
+    to Frobenius norm delta.  Identical specs therefore produce
     bit-identical tensors.
     """
     n = spec.n
@@ -81,24 +103,28 @@ def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
         return hilbert_tensor(2, n)
 
     gen = spec.seed.generator()
-    u = orth(gaussian_tensor(n, n, n, gen))
-    v = orth(gaussian_tensor(n, n, n, gen))
+    a = gaussian_tensor(n, n, n, gen)
+    b = gaussian_tensor(n, n, n, gen)
     r = spec.rank
     if spec.case == "exact-lowrank":
-        # Only R diagonal tubes are nonzero, so the product needs only the
-        # leading R lateral slices of u and v.
-        s = np.zeros((r, r, n))
-        tubes = gen.standard_normal(r * n).reshape((r, n), order="F")
-        s[np.arange(r), np.arange(r), :] = tubes
-        x = tprod(tprod(u[:, :r, :], s), transpose(v[:, :r, :]))
+        uh = np.linalg.qr(rfft_tubes(a[:, :r, :]))[0]
+        vh = np.linalg.qr(rfft_tubes(b[:, :r, :]))[0]
+        tubes = gen.standard_normal(r * n).reshape((1, r, n), order="F")
+        # The (K, 1, R) spectrum of the tubes scales the columns of every slice of uh.
+        x = irfft_tubes((uh * rfft_tubes(tubes)) @ adjoint(vh), n)
     else:
-        d = decay_profile(spec.case, n, r)
-        s = np.zeros((n, n, n))
-        s[np.arange(n), np.arange(n), :] = d[:, None]
-        x = tprod(tprod(u, s), transpose(v))
+        u0 = np.linalg.qr(a.sum(axis=2))[0]
+        v0 = np.linalg.qr(b.sum(axis=2))[0]
+        m = (u0 * decay_profile(spec.case, n, r)) @ v0.T
+        # irfft_tubes' layout: frontal slices outermost, rows C-ordered.
+        x = np.tile(m, (n, 1, 1)).transpose(1, 2, 0)
     if spec.delta > 0:
         noise = gaussian_tensor(n, n, n, gen)
-        x = x + spec.delta * noise / frobenius_norm(noise)
+        norm = frobenius_norm(noise)
+        noise *= spec.delta
+        noise /= norm
+        # x + noise, written into the noise buffer so x comes out Fortran-ordered.
+        x = np.add(x, noise, out=noise)
     return x
 
 

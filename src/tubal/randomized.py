@@ -6,10 +6,13 @@ rank from an error bound, the per-slice rank trimming of the final block,
 and the blocked matrix randQB reference the tensor algorithm degenerates
 to at I3 = 1.
 
-The adaptive algorithm never forms the residual tensor.  It tracks the
+The adaptive algorithm does not form the residual tensor.  It tracks the
 squared residual through the recursion E <- E - ||B_i||_F^2, which is
 exact because each block satisfies B_i = transpose(Q_i) * x with Q_i
-orthonormal and orthogonal to all previous blocks.
+orthonormal and orthogonal to all previous blocks.  The one exception is
+the precision floor: when epsilon^2 is within PRECISION_FLOOR_ULPS ulps of
+||x||_F^2, the recursion's cancellation error is as large as the bound,
+so the residual is computed explicitly on the half spectrum instead.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +31,10 @@ from .core import (
 )
 from .decomp import TSVDFactors, orth_spectral, tsvd_factors
 from .errors import DegenerateInput, RankOutOfRange
+
+# Below epsilon^2 = PRECISION_FLOOR_ULPS * ulp(1) * ||x||_F^2 the energy
+# recursion cannot certify the bound, so the residual is computed explicitly.
+PRECISION_FLOOR_ULPS = 256
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,11 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
     returned with achieved=False.  A degenerate (numerically zero relative
     to x) sketch means x is already fully captured; the current factors
     are returned and achieved reflects the energy bound.
+
+    At the precision floor (epsilon^2 at most PRECISION_FLOOR_ULPS ulps of
+    ||x||_F^2) the energy after each block is the explicitly computed
+    squared residual ||x - q*b||_F^2, by Parseval on the spectrum, and the
+    final block is not trimmed.
     """
     x = np.asarray(x, dtype=np.float64)
     i1, i2, i3 = x.shape
@@ -142,6 +154,7 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
     bh = np.zeros((xh.shape[0], 0, i2), dtype=np.complex128)
     trace: list = []
     energy = nx ** 2
+    floor = eps2 <= PRECISION_FLOOR_ULPS * np.finfo(np.float64).eps * energy
     achieved = False
 
     while bh.shape[1] < max_rank:
@@ -154,7 +167,10 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
             q_i = _power_iterate(xh, orth_spectral(sketch, i3, scale), i3, scale,
                                  cfg.power_iters)
             if rank:
-                q_i = orth_spectral(q_i - qh @ adjoint(adjoint(q_i) @ qh), i3)
+                # At the precision floor q_i lies almost wholly in the span of
+                # qh, and a second pass keeps q orthonormal ("twice is enough").
+                for _ in range(2 if floor else 1):
+                    q_i = orth_spectral(q_i - qh @ adjoint(adjoint(q_i) @ qh), i3)
         except DegenerateInput:
             achieved = energy < eps2
             break
@@ -162,7 +178,10 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
         qh = np.concatenate([qh, q_i], axis=2)
         bh = np.concatenate([bh, b_i], axis=1)
         energy_before_last = energy
-        energy -= float(row_energies(b_i, i3).sum())
+        if floor:
+            energy = float(row_energies(xh - qh @ bh, i3).sum())
+        else:
+            energy -= float(row_energies(b_i, i3).sum())
         achieved = energy < eps2
         # Below 0 is cancellation noise; the true squared residual is ~0.
         trace.append(max(energy, 0.0))
@@ -173,7 +192,7 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
                   energy_trace=trace, achieved=achieved)
     # A run that succeeds with blocks behind it succeeded on its last block:
     # a degenerate sketch can only certify the bound before the first one.
-    if achieved and trim and trace:
+    if achieved and trim and trace and not floor:
         qb = trim_last_block(qb, energy_before_last, cfg.epsilon, b_size)
     return qb
 

@@ -35,7 +35,8 @@ def save_tns(x: np.ndarray, path) -> None:
     header = TNS_MAGIC + np.array([i1, i2, i3], dtype="<u8").tobytes()
     with open(path, "wb") as f:
         f.write(header)
-        f.write(np.asfortranarray(x).astype("<f8").tobytes(order="F"))
+        # The transpose of an F-ordered x is C-contiguous, in linear-offset order.
+        np.asfortranarray(x, dtype="<f8").T.tofile(f)
 
 
 def load_tns(path) -> np.ndarray:

@@ -9,11 +9,15 @@ from tubal import (
     SpecInvalid,
     SyntheticSpec,
     frobenius_norm,
+    gaussian_tensor,
     gen_synthetic,
     hilbert_tensor,
+    orth,
     run_adaptive,
     run_randomized,
     run_tsvd,
+    tprod,
+    transpose,
     tubal_rank,
 )
 from tubal.bench import append_csv, decay_profile, write_report
@@ -69,6 +73,46 @@ def test_generator_determinism():
     a = gen_synthetic(spec)
     b = gen_synthetic(spec)
     assert np.array_equal(a, b)
+
+
+def full_tensor_construction(spec):
+    """The construction gen_synthetic stands for, with the same draws in the same order.
+
+    orth of both full n x n x n draws, the f-diagonal middle tensor, two
+    t-products and a transpose, then the noise scaled to norm delta.
+    """
+    n, r = spec.n, spec.rank
+    gen = spec.seed.generator()
+    u = orth(gaussian_tensor(n, n, n, gen))
+    v = orth(gaussian_tensor(n, n, n, gen))
+    if spec.case == "exact-lowrank":
+        s = np.zeros((r, r, n))
+        s[np.arange(r), np.arange(r), :] = gen.standard_normal(r * n).reshape((r, n), order="F")
+        u, v = u[:, :r, :], v[:, :r, :]
+    else:
+        s = np.zeros((n, n, n))
+        s[np.arange(n), np.arange(n), :] = decay_profile(spec.case, n, r)[:, None]
+    x = tprod(tprod(u, s), transpose(v))
+    if spec.delta > 0:
+        noise = gaussian_tensor(n, n, n, gen)
+        x = x + spec.delta * noise / frobenius_norm(noise)
+    return x
+
+
+@pytest.mark.parametrize("case", ["exact-lowrank", "poly-decay", "exp-decay"])
+@pytest.mark.parametrize("n", [12, 17])
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_generator_matches_full_tensor_construction(case, n, delta):
+    spec = SyntheticSpec(case=case, n=n, rank=3, delta=delta, seed=RngStream(40 + n))
+    ref = full_tensor_construction(spec)
+    x = gen_synthetic(spec)
+    assert x.shape == (n, n, n)
+    assert frobenius_norm(x - ref) <= 1e-12 * frobenius_norm(ref)
+
+
+def test_decay_cases_repeat_one_frontal_slice():
+    x = gen_synthetic(SyntheticSpec(case="exp-decay", n=9, rank=2, seed=RngStream(3)))
+    assert all(np.array_equal(x[:, :, k], x[:, :, 0]) for k in range(9))
 
 
 def test_noise_has_requested_norm():

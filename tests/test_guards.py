@@ -1,4 +1,5 @@
-"""Structural guards: what the benchmark traces exists, and x is transformed once per run."""
+"""Structural guards: what the benchmark traces exists, x is transformed once per run,
+and the exact-lowrank generator transforms only the lateral slices it keeps."""
 
 import importlib
 import json
@@ -9,7 +10,15 @@ import numpy as np
 import pytest
 
 import tubal
-from tubal import AdaptiveConfig, RngStream, adaptive_qb, frobenius_norm, randomized_tsvd
+from tubal import (
+    AdaptiveConfig,
+    RngStream,
+    SyntheticSpec,
+    adaptive_qb,
+    frobenius_norm,
+    gen_synthetic,
+    randomized_tsvd,
+)
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -58,3 +67,11 @@ def test_randomized_tsvd_transforms_x_once(x_transforms, rand_tensor):
     x = rand_tensor(30, 20, 6, seed=72)
     randomized_tsvd(x, rank=5, oversample=3, power_iters=2, rng=RngStream(73))
     assert x_transforms.count(x.size) == 1
+
+
+def test_exact_lowrank_generator_transforms_only_kept_slices(x_transforms):
+    n, rank = 24, 3
+    x = gen_synthetic(SyntheticSpec(case="exact-lowrank", n=n, rank=rank, delta=0.01,
+                                    seed=RngStream(74)))
+    assert x.shape == (n, n, n)
+    assert x_transforms and max(x_transforms) <= n * rank * n

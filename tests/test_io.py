@@ -43,6 +43,24 @@ def test_tns_layout_is_first_mode_fastest(tmp_path):
     assert_allclose(payload, np.arange(24.0), atol=0)
 
 
+def test_tns_bytes_independent_of_input_layout_and_dtype(tmp_path, rand_tensor):
+    # float32 values are exact in float64, so every variant holds the same tensor
+    x = np.asfortranarray(rand_tensor(5, 4, 3, seed=2).astype(np.float32).astype(np.float64))
+    variants = {
+        "fortran": x,
+        "c_order": np.ascontiguousarray(x),
+        "strided": np.moveaxis(np.moveaxis(x, 2, 0).copy(), 0, 2),
+        "float32": x.astype(np.float32),
+        "big_endian": x.astype(">f8"),
+    }
+    save_tns(x, tmp_path / "ref.tns")
+    ref = (tmp_path / "ref.tns").read_bytes()
+    assert len(ref) == 28 + 8 * x.size
+    for name, v in variants.items():
+        save_tns(v, tmp_path / f"{name}.tns")
+        assert (tmp_path / f"{name}.tns").read_bytes() == ref, name
+
+
 def test_tns_bad_magic(tmp_path):
     path = tmp_path / "t.tns"
     path.write_bytes(b"NOPE" + b"\x00" * 40)

@@ -11,6 +11,7 @@ from tubal import (
     frobenius_norm,
     gaussian_tensor,
     gen_synthetic,
+    hilbert_tensor,
     is_orthogonal,
     orth,
     qb_to_tsvd,
@@ -265,6 +266,31 @@ def test_adaptive_zero_tensor_degenerates_cleanly():
     qb = adaptive_qb(x, AdaptiveConfig(epsilon=0.0, block_size=3,
                                        power_iters=1, seed=RngStream(39)))
     assert qb.rank == 0 and not qb.achieved
+
+
+@pytest.mark.parametrize("eps_rel", [1e-8, 1e-10, 1e-12])
+def test_precision_floor_never_claims_unmet_bound(eps_rel):
+    # eps^2 is within a few ulps of ||x||^2: the recursion E <- E - ||B_i||^2
+    # cannot resolve it, and once read 1.6e-8 as success at rank 9.
+    x = hilbert_tensor(1, 80)
+    nx = frobenius_norm(x)
+    cfg = AdaptiveConfig(epsilon=eps_rel * nx, block_size=5, power_iters=1,
+                         seed=RngStream(0))
+    qb = adaptive_qb(x, cfg)
+    assert qb.achieved
+    assert qb_error(x, qb) <= cfg.epsilon
+
+
+def test_precision_floor_at_rank_cap_certifies_met_bound():
+    # At the rank cap the recursion once ended at +1.2e-13 > eps^2 and
+    # reported failure while the residual was 1.2e-14 < eps.
+    x = gaussian_tensor(10, 10, 3, RngStream(6))
+    cfg = AdaptiveConfig(epsilon=1e-12, block_size=7, power_iters=0,
+                         seed=RngStream(1))
+    qb = adaptive_qb(x, cfg)
+    assert qb.rank == 10
+    assert qb_error(x, qb) <= cfg.epsilon
+    assert qb.achieved
 
 
 def test_config_validation():
