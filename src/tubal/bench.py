@@ -26,8 +26,7 @@ from .core import (
 )
 from .decomp import reconstruct, truncated_tsvd
 from .errors import SpecInvalid
-from .randomized import AdaptiveConfig, adaptive_qb, randomized_tsvd
-from .tprod import tprod
+from .randomized import AdaptiveConfig, _adaptive_spectral, randomized_tsvd
 
 SYNTHETIC_CASES = ("exact-lowrank", "poly-decay", "exp-decay", "hilbert-1", "hilbert-2")
 
@@ -151,8 +150,10 @@ class RunReport:
 
     ``epsilon`` is a {"absolute": ..., "relative": ...} pair for methods
     that take an error bound, None otherwise.  ``result`` carries the
-    in-memory factorization for callers that need it and is never
-    serialized.
+    in-memory factorization for callers that need it: TSVDFactors, or for
+    an adaptive run the SpectralQB pair on the half spectrum.  ``approx``
+    is the reconstruction ``relative_error`` was measured on, when the
+    caller asked to keep it.  Neither is serialized.
     """
 
     dims: tuple
@@ -167,6 +168,7 @@ class RunReport:
     iterations: int | None
     energy_trace: list | None
     result: object = field(default=None, repr=False, compare=False)
+    approx: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -217,7 +219,8 @@ def _relative_error(x: np.ndarray, approx: np.ndarray) -> float:
 
 
 def _timed_report(x: np.ndarray, method: str, solve, product, epsilon=None,
-                  block_size=None, power_iters=None, seed=None) -> RunReport:
+                  block_size=None, power_iters=None, seed=None,
+                  keep_approx=False) -> RunReport:
     """Time solve(), then recompute the relative error of product(result) against x.
 
     A result with an energy_trace (a QB run) reports it and its length.
@@ -226,30 +229,37 @@ def _timed_report(x: np.ndarray, method: str, solve, product, epsilon=None,
     result = solve()
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     trace = getattr(result, "energy_trace", None)
+    approx = product(result)
     return RunReport(dims=x.shape, method=method, epsilon=epsilon, block_size=block_size,
                      power_iters=power_iters, seed=seed, estimated_rank=result.rank,
-                     relative_error=_relative_error(x, product(result)),
+                     relative_error=_relative_error(x, approx),
                      wall_time_ms=elapsed_ms,
                      iterations=None if trace is None else len(trace),
-                     energy_trace=None if trace is None else list(trace), result=result)
+                     energy_trace=None if trace is None else list(trace), result=result,
+                     approx=approx if keep_approx else None)
 
 
-def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False) -> RunReport:
+def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False,
+                 keep_approx: bool = False) -> RunReport:
     """Run the adaptive algorithm on x and report it.
 
     With rel=True, cfg.epsilon is interpreted relative to ||x||_F and
-    converted to an absolute bound once, up front.
+    converted to an absolute bound once, up front.  The run stays on the
+    half spectrum: the report's result is the SpectralQB pair, and the
+    error is measured on one inverse transform of qh @ bh, which the
+    report keeps as ``approx`` if keep_approx is set.
     """
     x = np.asarray(x, dtype=np.float64)
     nx = frobenius_norm(x)
     eps_abs = cfg.epsilon * nx if rel else cfg.epsilon
     eps_rel = eps_abs / nx if nx > 0 else None
     run_cfg = replace(cfg, epsilon=eps_abs)
-    return _timed_report(x, "adaptive", lambda: adaptive_qb(x, run_cfg),
-                         lambda qb: tprod(qb.q, qb.b),
+    i3 = x.shape[2]
+    return _timed_report(x, "adaptive", lambda: _adaptive_spectral(x, rfft_tubes(x), run_cfg),
+                         lambda qb: irfft_tubes(qb.qh @ qb.bh, i3),
                          epsilon={"absolute": eps_abs, "relative": eps_rel},
                          block_size=cfg.block_size, power_iters=cfg.power_iters,
-                         seed=cfg.seed.seed)
+                         seed=cfg.seed.seed, keep_approx=keep_approx)
 
 
 def run_tsvd(x: np.ndarray, rank: int) -> RunReport:

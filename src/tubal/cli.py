@@ -20,11 +20,10 @@ from .bench import (
     write_report,
 )
 from .core import RngStream, frobenius_norm
-from .decomp import tubal_rank
+from .decomp import tsvd_factors, tubal_rank
 from .errors import TubalError
-from .randomized import AdaptiveConfig, qb_to_tsvd
+from .randomized import AdaptiveConfig
 from .tio import load_pgm_stack, load_tns, pgm_files, save_pgm_stack, save_tns
-from .tprod import tprod
 
 _CASE_NAMES = {"1": "exact-lowrank", "2": "poly-decay", "3": "exp-decay"}
 
@@ -47,9 +46,9 @@ def _emit(report: RunReport, args) -> None:
         append_csv(report, args.csv)
 
 
-def _run(x, args) -> RunReport:
+def _run(x, args, keep_approx=False) -> RunReport:
     """The adaptive run on x that the command's flags describe, with its report written."""
-    report = run_adaptive(x, _config(args), rel=args.rel)
+    report = run_adaptive(x, _config(args), rel=args.rel, keep_approx=keep_approx)
     _emit(report, args)
     return report
 
@@ -80,7 +79,8 @@ def _cmd_adaptive(args) -> int:
     if args.save_factors:
         qb = report.result
         if qb.rank:
-            _save_factors(args.save_factors, qb_to_tsvd(qb, "all"))
+            _save_factors(args.save_factors,
+                          tsvd_factors(qb.bh, qb.rank, report.dims[2], lift=qb.qh))
         else:
             print("no factors to save: estimated rank is 0", file=sys.stderr)
     return _adaptive_exit(report)
@@ -97,9 +97,8 @@ def _cmd_tsvd(args) -> int:
 
 def _cmd_compress(args) -> int:
     files = pgm_files(args.images)
-    report = _run(load_pgm_stack(files), args)
-    save_pgm_stack(args.save_recon, tprod(report.result.q, report.result.b),
-                   names=[p.name for p in files])
+    report = _run(load_pgm_stack(files), args, keep_approx=True)
+    save_pgm_stack(args.save_recon, report.approx, names=[p.name for p in files])
     return _adaptive_exit(report)
 
 

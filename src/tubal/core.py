@@ -1,11 +1,11 @@
 """Dense third-order tensors, tube-domain transforms, and elementary tubal algebra.
 
-A third-order tensor is stored as a real float64 ndarray of shape
-(I1, I2, I3), laid out first-mode-fastest (Fortran order), so frontal
-slices ``x[:, :, k]`` are contiguous and element (i1, i2, i3) sits at
-linear offset ``i1 + I1*i2 + I1*I2*i3``.  The tube transform is the
-unnormalized forward DFT along mode 3 with the 1/I3 factor on the
-inverse, matching ``fft(x, [], 3)`` / ``ifft(x, [], 3)`` semantics.
+A third-order tensor is a real float64 ndarray of shape (I1, I2, I3), in
+any memory layout.  Linear offsets, and TNS1 files, are first-mode-fastest:
+element (i1, i2, i3) sits at linear offset ``i1 + I1*i2 + I1*I2*i3``.  The
+tube transform is the unnormalized forward DFT along mode 3 with the 1/I3
+factor on the inverse, matching ``fft(x, [], 3)`` / ``ifft(x, [], 3)``
+semantics.
 
 Every t-operation runs on the half spectrum, the (K, I1, I2) stack of the
 K = I3//2 + 1 leading DFT slices, as batched matrix operations;
@@ -21,6 +21,10 @@ from .errors import DimMismatch, ImaginaryResidue, NonFiniteData
 # Relative threshold for discarding the imaginary part after an inverse
 # tube transform; above it the input did not satisfy conjugate symmetry.
 IMAG_RESIDUE_RTOL = 1e-8
+
+# rfft_tubes copies numpy's rfft output into the stack layout in row blocks
+# whose spectrum takes at most this many bytes, bounding the transient.
+RFFT_BLOCK_BYTES = 16 * 2**20
 
 
 def as_tensor3(data) -> np.ndarray:
@@ -74,14 +78,25 @@ def rfft_tubes(x: np.ndarray) -> np.ndarray:
     """Half spectrum of a real (I1, I2, I3) tensor: the (K, I1, I2) stack of DFT slices 0..K-1.
 
     The other I3 - K slices are conjugate mirrors.  Slices are C-ordered
-    matrices, so slice products go straight to BLAS.
+    matrices, so slice products go straight to BLAS.  A half spectrum
+    larger than RFFT_BLOCK_BYTES is transformed and copied in blocks of
+    rows, so the transient beside the result stays within that budget.
     """
-    h = np.fft.rfft(np.asarray(x, dtype=np.float64), axis=2)
-    return np.ascontiguousarray(np.moveaxis(h, 2, 0))
+    x = np.asarray(x, dtype=np.float64)
+    i1, i2, i3 = x.shape
+    rows = max(RFFT_BLOCK_BYTES // max(16 * (i3 // 2 + 1) * i2, 1), 1)
+    h = np.empty((i3 // 2 + 1, i1, i2), dtype=np.complex128)
+    for r in range(0, i1, rows):
+        h[:, r:r + rows] = np.moveaxis(np.fft.rfft(x[r:r + rows], axis=2), 2, 0)
+    return h
 
 
 def irfft_tubes(h: np.ndarray, i3: int) -> np.ndarray:
-    """Real (I1, I2, I3) tensor whose half spectrum is the (K, I1, I2) stack h."""
+    """Real (I1, I2, I3) tensor whose half spectrum is the (K, I1, I2) stack h.
+
+    The result's frontal slices are contiguous C-ordered matrices: strides
+    (8*I2, 8, 8*I1*I2).
+    """
     return np.fft.irfft(np.moveaxis(h, 0, 2), n=i3, axis=2)
 
 

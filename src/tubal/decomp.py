@@ -80,10 +80,11 @@ def tsvd_factors(h: np.ndarray, rank: int, i3: int, lift=None) -> TSVDFactors:
     uh = uh[:, :, :rank]
     if lift is not None:
         uh = lift @ uh
-    sdiag = np.zeros((h.shape[0], rank, rank), dtype=np.complex128)
+    # Only the diagonal tubes of s are nonzero; the rest transform to zeros.
+    s = np.zeros((rank, rank, i3))
     idx = np.arange(rank)
-    sdiag[:, idx, idx] = sh[:, :rank]
-    return TSVDFactors(u=irfft_tubes(uh, i3), s=irfft_tubes(sdiag, i3),
+    s[idx, idx] = np.fft.irfft(sh[:, :rank], n=i3, axis=0).T
+    return TSVDFactors(u=irfft_tubes(uh, i3), s=s,
                        v=irfft_tubes(adjoint(vhh[:, :rank, :]), i3), rank=rank)
 
 

@@ -16,6 +16,7 @@ so the residual is computed explicitly on the half spectrum instead.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +66,23 @@ class AdaptiveConfig:
             raise ValueError("max_rank must be >= 1")
 
 
+class SpectralQB(NamedTuple):
+    """A QB run on the half spectrum: x ~ irfft(qh @ bh).
+
+    qh is the (K, I1, R) stack of q and bh the (K, R, I2) stack of b; the
+    other fields mean what they mean on QBApprox.
+    """
+
+    qh: np.ndarray
+    bh: np.ndarray
+    energy_trace: list
+    achieved: bool
+
+    @property
+    def rank(self) -> int:
+        return self.bh.shape[1]
+
+
 @dataclass
 class QBApprox:
     """Range/projection pair x ~ q * b with orthonormal q.
@@ -82,11 +100,21 @@ class QBApprox:
 
 
 def _power_iterate(xh: np.ndarray, q: np.ndarray, i3: int, scale: float,
-                   rounds: int) -> np.ndarray:
-    """Subspace iteration on the spectral basis q; x^H q is (q^H x)^H, so x is not copied."""
+                   rounds: int, deflate=None) -> np.ndarray:
+    """Subspace iteration on the spectral basis q; x^H q is (q^H x)^H, so x is not copied.
+
+    With deflate, a pair (qh, bh), it iterates on the residual x - qh @ bh
+    instead of on x.
+    """
     for _ in range(rounds):
-        q = orth_spectral(adjoint(adjoint(q) @ xh), i3, scale)
-        q = orth_spectral(xh @ q, i3, scale)
+        p = adjoint(q) @ xh
+        if deflate is not None:
+            p -= (adjoint(q) @ deflate[0]) @ deflate[1]
+        q = orth_spectral(adjoint(p), i3, scale)
+        p = xh @ q
+        if deflate is not None:
+            p -= deflate[0] @ (deflate[1] @ q)
+        q = orth_spectral(p, i3, scale)
     return q
 
 
@@ -125,7 +153,8 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
     residual.  On success the final block is trimmed slice by slice to
     the smallest rank still meeting the bound (disable with trim=False to
     keep whole blocks, e.g. when inspecting the trace).  x is transformed
-    once; q and b grow on its half spectrum and are transformed back once.
+    once; q and b grow on its half spectrum, are trimmed there and are
+    transformed back once.
 
     If the rank cap is reached first, the best factorization found is
     returned with achieved=False.  A degenerate (numerically zero relative
@@ -134,10 +163,28 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
 
     At the precision floor (epsilon^2 at most PRECISION_FLOOR_ULPS ulps of
     ||x||_F^2) the energy after each block is the explicitly computed
-    squared residual ||x - q*b||_F^2, by Parseval on the spectrum, and the
-    final block is not trimmed.
+    squared residual ||x - q*b||_F^2, by Parseval on the spectrum, the
+    power step multiplies by that residual instead of by x, and the final
+    block is not trimmed.
     """
     x = np.asarray(x, dtype=np.float64)
+    xh = rfft_tubes(x)
+    qh, bh, trace, achieved = _adaptive_spectral(x, xh, cfg, trim)
+    # xh is held until q and b are inverted, so they are not placed in the
+    # memory xh frees: a caller's later x-sized temporaries (x - q*b) reuse
+    # it instead of growing the heap and page-faulting on every product.
+    i3 = x.shape[2]
+    return QBApprox(q=irfft_tubes(qh, i3), b=irfft_tubes(bh, i3), rank=bh.shape[1],
+                    energy_trace=trace, achieved=achieved)
+
+
+def _adaptive_spectral(x: np.ndarray, xh: np.ndarray, cfg: AdaptiveConfig,
+                       trim: bool = True) -> SpectralQB:
+    """The algorithm of adaptive_qb on a float64 x and its half spectrum xh = rfft_tubes(x).
+
+    The result is left on the half spectrum; qh and bh may be views of
+    larger stacks.
+    """
     i1, i2, i3 = x.shape
     b_size = cfg.block_size
     max_rank = min(i1, i2) if cfg.max_rank is None else cfg.max_rank
@@ -146,7 +193,6 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
     gen = cfg.seed.generator()
     eps2 = cfg.epsilon ** 2
 
-    xh = rfft_tubes(x)
     nx = frobenius_norm(x)
     # The degeneracy test is relative to the root-mean-square entry of x.
     scale = nx / np.sqrt(max(x.size, 1))
@@ -165,7 +211,7 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
             if rank:
                 sketch -= qh @ (bh @ omega)
             q_i = _power_iterate(xh, orth_spectral(sketch, i3, scale), i3, scale,
-                                 cfg.power_iters)
+                                 cfg.power_iters, (qh, bh) if floor and rank else None)
             if rank:
                 # At the precision floor q_i lies almost wholly in the span of
                 # qh, and a second pass keeps q orthonormal ("twice is enough").
@@ -188,13 +234,33 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
         if achieved:
             break
 
-    qb = QBApprox(q=irfft_tubes(qh, i3), b=irfft_tubes(bh, i3), rank=bh.shape[1],
-                  energy_trace=trace, achieved=achieved)
     # A run that succeeds with blocks behind it succeeded on its last block:
     # a degenerate sketch can only certify the bound before the first one.
     if achieved and trim and trace and not floor:
-        qb = trim_last_block(qb, energy_before_last, cfg.epsilon, b_size)
-    return qb
+        # rank is still the rank before the final block b_i.
+        kept, energy = _trim_rows(row_energies(b_i, i3), energy_before_last, eps2)
+        if energy is not None:
+            qh, bh = qh[:, :, :rank + kept], bh[:, :rank + kept]
+            trace[-1] = max(energy, 0.0)
+    return SpectralQB(qh, bh, trace, achieved)
+
+
+def _trim_rows(rows: np.ndarray, energy_before_last: float, eps2: float):
+    """How many rows of a final block meet the bound: the trim rule.
+
+    rows are the squared norms of the block's horizontal slices, in order.
+    Returns (kept, energy), the fewest leading rows whose norms, subtracted
+    from energy_before_last, bring it below eps2, and the energy they
+    leave; energy is None when the whole block is needed.
+    """
+    if energy_before_last - rows.sum() >= eps2:
+        return len(rows), None
+    energy, kept = energy_before_last, 0
+    for kept, row in enumerate(rows, start=1):
+        energy -= float(row)
+        if energy < eps2:
+            break
+    return kept, energy
 
 
 def trim_last_block(qb: QBApprox, energy_before_last: float, epsilon: float,
@@ -207,7 +273,8 @@ def trim_last_block(qb: QBApprox, energy_before_last: float, epsilon: float,
     without recomputation, which is valid because the energy recursion
     never involves q.  The final block follows len(energy_trace) - 1 blocks
     of block_size rows, and is partial when it stopped at the rank cap;
-    block_size None means qb is made of equal blocks.
+    block_size None means qb is made of equal blocks.  adaptive_qb applies
+    the same rule on the half spectrum.
     """
     blocks = len(qb.energy_trace)
     if block_size is None and blocks and qb.rank % blocks == 0:
@@ -215,15 +282,10 @@ def trim_last_block(qb: QBApprox, energy_before_last: float, epsilon: float,
     if not blocks or block_size is None:
         raise ValueError("trim needs a QB built from whole blocks, or its block_size")
     start = (blocks - 1) * block_size
-    eps2 = epsilon ** 2
-    rows = (qb.b[start:] ** 2).sum(axis=(1, 2))
-    if energy_before_last - rows.sum() >= eps2:
+    kept, energy = _trim_rows((qb.b[start:] ** 2).sum(axis=(1, 2)), energy_before_last,
+                              epsilon ** 2)
+    if energy is None:
         return qb
-    energy, kept = energy_before_last, 0
-    for kept, row in enumerate(rows, start=1):
-        energy -= float(row)
-        if energy < eps2:
-            break
     rank = start + kept
     trace = list(qb.energy_trace[:-1]) + [max(energy, 0.0)]
     return QBApprox(q=qb.q[:, :rank, :], b=qb.b[:rank, :, :], rank=rank,

@@ -40,25 +40,30 @@ def save_tns(x: np.ndarray, path) -> None:
 
 
 def load_tns(path) -> np.ndarray:
-    """Read a TNS1 file back into a tensor; the round trip is bit-exact."""
+    """Read a TNS1 file back into a writable, Fortran-ordered tensor; the round trip is bit-exact.
+
+    The header and the file size are checked before the payload is read
+    straight into the tensor's memory.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != TNS_MAGIC:
-        raise BadMagic(f"{path}: expected magic {TNS_MAGIC!r}, got {raw[:4]!r}")
-    if len(raw) < 28:
-        raise TruncatedFile(f"{path}: header needs 28 bytes, file has {len(raw)}")
-    dims = np.frombuffer(raw[4:28], dtype="<u8")
-    i1, i2, i3 = (int(d) for d in dims)
-    if min(i1, i2, i3) < 1 or i1 * i2 * i3 > MAX_ELEMENTS:
-        raise DimOverflow(f"{path}: unusable dimensions {(i1, i2, i3)}")
-    expected = 28 + 8 * i1 * i2 * i3
-    if len(raw) != expected:
-        raise TruncatedFile(
-            f"{path}: dims {(i1, i2, i3)} imply {expected} bytes, file has {len(raw)}"
-        )
-    flat = np.frombuffer(raw[28:], dtype="<f8")
-    # frombuffer views are read-only; hand back a writable tensor
-    return as_tensor3(flat.reshape((i1, i2, i3), order="F").copy(order="F"))
+        header = f.read(28)
+        if header[:4] != TNS_MAGIC:
+            raise BadMagic(f"{path}: expected magic {TNS_MAGIC!r}, got {header[:4]!r}")
+        if len(header) < 28:
+            raise TruncatedFile(f"{path}: header needs 28 bytes, file has {len(header)}")
+        i1, i2, i3 = (int(d) for d in np.frombuffer(header[4:], dtype="<u8"))
+        if min(i1, i2, i3) < 1 or i1 * i2 * i3 > MAX_ELEMENTS:
+            raise DimOverflow(f"{path}: unusable dimensions {(i1, i2, i3)}")
+        expected = 28 + 8 * i1 * i2 * i3
+        size = os.fstat(f.fileno()).st_size
+        if size != expected:
+            raise TruncatedFile(
+                f"{path}: dims {(i1, i2, i3)} imply {expected} bytes, file has {size}"
+            )
+        flat = np.fromfile(f, dtype="<f8", count=i1 * i2 * i3)
+    if flat.size != i1 * i2 * i3:
+        raise TruncatedFile(f"{path}: payload ended after {flat.size} values")
+    return as_tensor3(flat.reshape((i1, i2, i3), order="F"))
 
 
 def reshape3(x: np.ndarray, new_dims) -> np.ndarray:

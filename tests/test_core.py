@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import tubal.core
 from tubal import (
     DimMismatch,
     ImaginaryResidue,
@@ -17,7 +18,7 @@ from tubal import (
     tprod,
     transpose,
 )
-from tubal.core import num_head_slices
+from tubal.core import irfft_tubes, num_head_slices, rfft_tubes
 from conftest import naive_dft_tubes
 
 dims = st.integers(min_value=1, max_value=6)
@@ -220,3 +221,25 @@ def test_gaussian_moments():
     x = gaussian_tensor(100, 100, 10, RngStream(2024))
     assert abs(x.mean()) <= 0.02
     assert abs(x.var() - 1.0) <= 0.05
+
+
+# ------------------------------------------------------------- half spectrum
+
+@pytest.mark.parametrize("i3", [7, 8])
+def test_rfft_tubes_row_blocks_bit_identical(i3, monkeypatch, rand_tensor):
+    x = np.asfortranarray(rand_tensor(11, 5, i3, seed=90))
+    whole = np.ascontiguousarray(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0))
+    row_bytes = 16 * (i3 // 2 + 1) * 5
+    for budget in (row_bytes * 11, row_bytes * 4, row_bytes, 1):
+        monkeypatch.setattr(tubal.core, "RFFT_BLOCK_BYTES", budget)
+        h = rfft_tubes(x)
+        assert h.flags.c_contiguous and h.shape == whole.shape
+        assert h.tobytes() == whole.tobytes()
+
+
+def test_irfft_tubes_layout(rand_tensor):
+    # Frontal slices are contiguous C-ordered matrices; gen_synthetic builds
+    # its decay cases in this layout.
+    x = irfft_tubes(rfft_tubes(rand_tensor(5, 4, 7, seed=91)), 7)
+    assert x.shape == (5, 4, 7) and x.strides == (8 * 4, 8, 8 * 5 * 4)
+

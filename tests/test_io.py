@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import tubal.tio
 from tubal import (
     BadHeader,
     BadMagic,
@@ -83,6 +84,36 @@ def test_tns_truncated_header(tmp_path):
     path.write_bytes(b"TNS1" + b"\x00" * 10)
     with pytest.raises(TruncatedFile):
         load_tns(path)
+
+
+def test_tns_overlong_payload(tmp_path, rand_tensor):
+    path = tmp_path / "t.tns"
+    save_tns(rand_tensor(4, 4, 4, seed=2), path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(TruncatedFile):
+        load_tns(path)
+
+
+@pytest.mark.parametrize("cut", [14, 28 + 8 * 63])
+def test_tns_short_file_raises_before_payload_read(cut, tmp_path, rand_tensor, monkeypatch):
+    path = tmp_path / "t.tns"
+    save_tns(rand_tensor(4, 4, 4, seed=3), path)
+    path.write_bytes(path.read_bytes()[:cut])
+    reads = []
+    monkeypatch.setattr(tubal.tio.np, "fromfile", lambda *a, **k: reads.append(a))
+    with pytest.raises(TruncatedFile):
+        load_tns(path)
+    assert not reads
+
+
+def test_tns_load_is_writable_fortran(tmp_path, rand_tensor):
+    path = tmp_path / "t.tns"
+    x = rand_tensor(5, 4, 3, seed=4)
+    save_tns(x, path)
+    back = load_tns(path)
+    assert back.flags.writeable and back.flags.f_contiguous
+    back[0, 0, 0] += 1.0
+    assert back[0, 0, 0] == x[0, 0, 0] + 1.0
 
 
 def test_tns_dim_overflow(tmp_path):

@@ -268,13 +268,25 @@ def test_adaptive_zero_tensor_degenerates_cleanly():
     assert qb.rank == 0 and not qb.achieved
 
 
-@pytest.mark.parametrize("eps_rel", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("eps_rel", [1e-8, 1e-10, 1e-12, 1e-13, 1e-14])
 def test_precision_floor_never_claims_unmet_bound(eps_rel):
     # eps^2 is within a few ulps of ||x||^2: the recursion E <- E - ||B_i||^2
     # cannot resolve it, and once read 1.6e-8 as success at rank 9.
     x = hilbert_tensor(1, 80)
     nx = frobenius_norm(x)
     cfg = AdaptiveConfig(epsilon=eps_rel * nx, block_size=5, power_iters=1,
+                         seed=RngStream(0))
+    qb = adaptive_qb(x, cfg)
+    assert qb.achieved
+    assert qb_error(x, qb) <= cfg.epsilon
+
+
+def test_precision_floor_power_step_deflates():
+    # A power step on x itself pulls each new block back into span(q), and
+    # power 2 once stopped at error 1.3e-9 for a 1e-10 bound.
+    x = hilbert_tensor(1, 80)
+    nx = frobenius_norm(x)
+    cfg = AdaptiveConfig(epsilon=1e-10 * nx, block_size=5, power_iters=2,
                          seed=RngStream(0))
     qb = adaptive_qb(x, cfg)
     assert qb.achieved
