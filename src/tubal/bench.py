@@ -5,11 +5,14 @@ rank-R tensor with Gaussian singular tubes, plateau-plus-polynomial and
 plateau-plus-exponential singular value decay, and two Hilbert-type
 tensors defined entrywise.  Runs wrap the library operations with a
 monotonic wall clock and always recompute the reported relative error
-directly from the reconstruction, never from the energy recursion.
+from the factors, never from the energy recursion: an adaptive run
+measures the residual on the half spectrum, the others on the
+reconstruction.
 """
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -22,11 +25,12 @@ from .core import (
     frobenius_norm,
     gaussian_tensor,
     irfft_tubes,
+    residual_energy,
     rfft_tubes,
 )
 from .decomp import reconstruct, truncated_tsvd
 from .errors import SpecInvalid
-from .randomized import AdaptiveConfig, _adaptive_spectral, randomized_tsvd
+from .randomized import AdaptiveConfig, adaptive_spectral, randomized_tsvd
 
 SYNTHETIC_CASES = ("exact-lowrank", "poly-decay", "exp-decay", "hilbert-1", "hilbert-2")
 
@@ -150,10 +154,9 @@ class RunReport:
 
     ``epsilon`` is a {"absolute": ..., "relative": ...} pair for methods
     that take an error bound, None otherwise.  ``result`` carries the
-    in-memory factorization for callers that need it: TSVDFactors, or for
-    an adaptive run the SpectralQB pair on the half spectrum.  ``approx``
-    is the reconstruction ``relative_error`` was measured on, when the
-    caller asked to keep it.  Neither is serialized.
+    in-memory factorization for callers that need it, and is not
+    serialized: TSVDFactors, or for an adaptive run the SpectralQB pair on
+    the half spectrum.
     """
 
     dims: tuple
@@ -168,7 +171,6 @@ class RunReport:
     iterations: int | None
     energy_trace: list | None
     result: object = field(default=None, repr=False, compare=False)
-    approx: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -218,10 +220,9 @@ def _relative_error(x: np.ndarray, approx: np.ndarray) -> float:
     return err / nx if nx > 0 else err
 
 
-def _timed_report(x: np.ndarray, method: str, solve, product, epsilon=None,
-                  block_size=None, power_iters=None, seed=None,
-                  keep_approx=False) -> RunReport:
-    """Time solve(), then recompute the relative error of product(result) against x.
+def _timed_report(x: np.ndarray, method: str, solve, error, epsilon=None,
+                  block_size=None, power_iters=None, seed=None) -> RunReport:
+    """Time solve(), then report error(result), the relative error recomputed from it.
 
     A result with an energy_trace (a QB run) reports it and its length.
     """
@@ -229,25 +230,23 @@ def _timed_report(x: np.ndarray, method: str, solve, product, epsilon=None,
     result = solve()
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     trace = getattr(result, "energy_trace", None)
-    approx = product(result)
     return RunReport(dims=x.shape, method=method, epsilon=epsilon, block_size=block_size,
                      power_iters=power_iters, seed=seed, estimated_rank=result.rank,
-                     relative_error=_relative_error(x, approx),
-                     wall_time_ms=elapsed_ms,
+                     relative_error=error(result), wall_time_ms=elapsed_ms,
                      iterations=None if trace is None else len(trace),
-                     energy_trace=None if trace is None else list(trace), result=result,
-                     approx=approx if keep_approx else None)
+                     energy_trace=None if trace is None else list(trace), result=result)
 
 
-def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False,
-                 keep_approx: bool = False) -> RunReport:
+def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False) -> RunReport:
     """Run the adaptive algorithm on x and report it.
 
     With rel=True, cfg.epsilon is interpreted relative to ||x||_F and
-    converted to an absolute bound once, up front.  The run stays on the
-    half spectrum: the report's result is the SpectralQB pair, and the
-    error is measured on one inverse transform of qh @ bh, which the
-    report keeps as ``approx`` if keep_approx is set.
+    converted to an absolute bound once, up front.  ||x||_F is taken once
+    and serves the bound, the algorithm and the error.  The run stays on
+    the half spectrum: x is transformed once, the report's result is the
+    SpectralQB pair, and the error is the residual ||xh - qh @ bh||
+    measured on the spectrum by residual_energy.  wall_time_ms covers the
+    transform and the algorithm.
     """
     x = np.asarray(x, dtype=np.float64)
     nx = frobenius_norm(x)
@@ -255,17 +254,28 @@ def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False,
     eps_rel = eps_abs / nx if nx > 0 else None
     run_cfg = replace(cfg, epsilon=eps_abs)
     i3 = x.shape[2]
-    return _timed_report(x, "adaptive", lambda: _adaptive_spectral(x, rfft_tubes(x), run_cfg),
-                         lambda qb: irfft_tubes(qb.qh @ qb.bh, i3),
+    xh = None
+
+    def solve():
+        nonlocal xh
+        xh = rfft_tubes(x)
+        return adaptive_spectral(xh, i3, nx, run_cfg)
+
+    def error(qb):
+        err = math.sqrt(residual_energy(xh, qb.qh, qb.bh, i3))
+        return err / nx if nx > 0 else err
+
+    return _timed_report(x, "adaptive", solve, error,
                          epsilon={"absolute": eps_abs, "relative": eps_rel},
                          block_size=cfg.block_size, power_iters=cfg.power_iters,
-                         seed=cfg.seed.seed, keep_approx=keep_approx)
+                         seed=cfg.seed.seed)
 
 
 def run_tsvd(x: np.ndarray, rank: int) -> RunReport:
     """Run the deterministic truncated tubal SVD at a fixed rank and report it."""
     x = np.asarray(x, dtype=np.float64)
-    return _timed_report(x, "tsvd", lambda: truncated_tsvd(x, rank), reconstruct)
+    return _timed_report(x, "tsvd", lambda: truncated_tsvd(x, rank),
+                         lambda f: _relative_error(x, reconstruct(f)))
 
 
 def run_randomized(x: np.ndarray, rank: int, oversample: int, power_iters: int,
@@ -274,4 +284,5 @@ def run_randomized(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     x = np.asarray(x, dtype=np.float64)
     return _timed_report(x, "randomized",
                          lambda: randomized_tsvd(x, rank, oversample, power_iters, seed),
-                         reconstruct, power_iters=power_iters, seed=seed.seed)
+                         lambda f: _relative_error(x, reconstruct(f)),
+                         power_iters=power_iters, seed=seed.seed)

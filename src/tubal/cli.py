@@ -19,7 +19,7 @@ from .bench import (
     run_tsvd,
     write_report,
 )
-from .core import RngStream, frobenius_norm
+from .core import RngStream, frobenius_norm, irfft_tubes
 from .decomp import tsvd_factors, tubal_rank
 from .errors import TubalError
 from .randomized import AdaptiveConfig
@@ -46,9 +46,9 @@ def _emit(report: RunReport, args) -> None:
         append_csv(report, args.csv)
 
 
-def _run(x, args, keep_approx=False) -> RunReport:
+def _run(x, args) -> RunReport:
     """The adaptive run on x that the command's flags describe, with its report written."""
-    report = run_adaptive(x, _config(args), rel=args.rel, keep_approx=keep_approx)
+    report = run_adaptive(x, _config(args), rel=args.rel)
     _emit(report, args)
     return report
 
@@ -97,8 +97,11 @@ def _cmd_tsvd(args) -> int:
 
 def _cmd_compress(args) -> int:
     files = pgm_files(args.images)
-    report = _run(load_pgm_stack(files), args, keep_approx=True)
-    save_pgm_stack(args.save_recon, report.approx, names=[p.name for p in files])
+    report = _run(load_pgm_stack(files), args)
+    # Built once the report is made, when x and its spectrum are gone.
+    qb = report.result
+    save_pgm_stack(args.save_recon, irfft_tubes(qb.qh @ qb.bh, report.dims[2]),
+                   names=[p.name for p in files])
     return _adaptive_exit(report)
 
 

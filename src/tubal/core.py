@@ -26,6 +26,10 @@ IMAG_RESIDUE_RTOL = 1e-8
 # whose spectrum takes at most this many bytes, bounding the transient.
 RFFT_BLOCK_BYTES = 16 * 2**20
 
+# residual_energy forms the difference in blocks of at most this many bytes,
+# so measuring a residual makes no x-sized temporary.
+RESIDUAL_BLOCK_BYTES = 4 * 2**20
+
 
 def as_tensor3(data) -> np.ndarray:
     """Validate and coerce ``data`` to a well-formed third-order tensor.
@@ -100,17 +104,43 @@ def irfft_tubes(h: np.ndarray, i3: int) -> np.ndarray:
     return np.fft.irfft(np.moveaxis(h, 0, 2), n=i3, axis=2)
 
 
-def row_energies(h: np.ndarray, i3: int) -> np.ndarray:
-    """Squared Frobenius norm of each horizontal slice of irfft_tubes(h, i3), by Parseval.
+def _parseval_weights(k: int, i3: int) -> np.ndarray:
+    """Weight of each of the k half-spectrum slices in a squared Frobenius norm.
 
     Slice k weighs 2/I3, for itself and its mirror, except the DC slice
     and (for even I3) the Nyquist slice, which are their own mirrors: 1/I3.
     """
-    w = np.full(h.shape[0], 2.0 / i3)
+    w = np.full(k, 2.0 / i3)
     w[0] = 1.0 / i3
     if i3 % 2 == 0:
         w[-1] = 1.0 / i3
-    return w @ (h.real ** 2 + h.imag ** 2).sum(axis=2)
+    return w
+
+
+def row_energies(h: np.ndarray, i3: int) -> np.ndarray:
+    """Squared Frobenius norm of each horizontal slice of irfft_tubes(h, i3), by Parseval."""
+    return _parseval_weights(h.shape[0], i3) @ (h.real ** 2 + h.imag ** 2).sum(axis=2)
+
+
+def residual_energy(xh: np.ndarray, qh: np.ndarray, bh: np.ndarray, i3: int) -> float:
+    """Squared Frobenius norm of irfft_tubes(xh - qh @ bh, i3), by Parseval.
+
+    The difference is formed in blocks of whole slices, or of rows of one
+    slice when a slice alone is larger than RESIDUAL_BLOCK_BYTES, and is
+    subtracted into the block's product in place.
+    """
+    k, i1, i2 = xh.shape
+    w = _parseval_weights(k, i3)
+    slices = max(RESIDUAL_BLOCK_BYTES // max(16 * i1 * i2, 1), 1)
+    rows = max(RESIDUAL_BLOCK_BYTES // max(16 * i2, 1), 1)
+    total = 0.0
+    for s in range(0, k, slices):
+        for r in range(0, i1, rows):
+            d = qh[s:s + slices, r:r + rows] @ bh[s:s + slices]
+            np.subtract(xh[s:s + slices, r:r + rows], d, out=d)
+            v = d.reshape(d.shape[0], -1).view(np.float64)
+            total += float(w[s:s + slices] @ np.einsum("ij,ij->i", v, v))
+    return total
 
 
 def adjoint(h: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .core import (
     gaussian_matrix,
     gaussian_tensor,
     irfft_tubes,
+    residual_energy,
     rfft_tubes,
     row_energies,
 )
@@ -169,23 +170,23 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
     """
     x = np.asarray(x, dtype=np.float64)
     xh = rfft_tubes(x)
-    qh, bh, trace, achieved = _adaptive_spectral(x, xh, cfg, trim)
+    i3 = x.shape[2]
+    qh, bh, trace, achieved = adaptive_spectral(xh, i3, frobenius_norm(x), cfg, trim)
     # xh is held until q and b are inverted, so they are not placed in the
     # memory xh frees: a caller's later x-sized temporaries (x - q*b) reuse
     # it instead of growing the heap and page-faulting on every product.
-    i3 = x.shape[2]
     return QBApprox(q=irfft_tubes(qh, i3), b=irfft_tubes(bh, i3), rank=bh.shape[1],
                     energy_trace=trace, achieved=achieved)
 
 
-def _adaptive_spectral(x: np.ndarray, xh: np.ndarray, cfg: AdaptiveConfig,
-                       trim: bool = True) -> SpectralQB:
-    """The algorithm of adaptive_qb on a float64 x and its half spectrum xh = rfft_tubes(x).
+def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
+                      trim: bool = True) -> SpectralQB:
+    """The algorithm of adaptive_qb on the half spectrum xh = rfft_tubes(x).
 
-    The result is left on the half spectrum; qh and bh may be views of
-    larger stacks.
+    i3 is I3 and norm is ||x||_F; x itself is not needed.  The result is
+    left on the half spectrum; qh and bh may be views of larger stacks.
     """
-    i1, i2, i3 = x.shape
+    i1, i2 = xh.shape[1:]
     b_size = cfg.block_size
     max_rank = min(i1, i2) if cfg.max_rank is None else cfg.max_rank
     if max_rank > min(i1, i2):
@@ -193,13 +194,12 @@ def _adaptive_spectral(x: np.ndarray, xh: np.ndarray, cfg: AdaptiveConfig,
     gen = cfg.seed.generator()
     eps2 = cfg.epsilon ** 2
 
-    nx = frobenius_norm(x)
     # The degeneracy test is relative to the root-mean-square entry of x.
-    scale = nx / np.sqrt(max(x.size, 1))
+    scale = norm / np.sqrt(max(i1 * i2 * i3, 1))
     qh = np.zeros((xh.shape[0], i1, 0), dtype=np.complex128)
     bh = np.zeros((xh.shape[0], 0, i2), dtype=np.complex128)
     trace: list = []
-    energy = nx ** 2
+    energy = norm ** 2
     floor = eps2 <= PRECISION_FLOOR_ULPS * np.finfo(np.float64).eps * energy
     achieved = False
 
@@ -225,7 +225,7 @@ def _adaptive_spectral(x: np.ndarray, xh: np.ndarray, cfg: AdaptiveConfig,
         bh = np.concatenate([bh, b_i], axis=1)
         energy_before_last = energy
         if floor:
-            energy = float(row_energies(xh - qh @ bh, i3).sum())
+            energy = residual_energy(xh, qh, bh, i3)
         else:
             energy -= float(row_energies(b_i, i3).sum())
         achieved = energy < eps2

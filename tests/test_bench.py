@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tubal import (
     tubal_rank,
 )
 from tubal.bench import append_csv, decay_profile, write_report
+from tubal.core import irfft_tubes
 
 REPORT_FIELDS = {"dims", "method", "epsilon", "block_size", "power_iters", "seed",
                  "estimated_rank", "relative_error", "wall_time_ms", "iterations",
@@ -176,6 +178,29 @@ def test_hilbert_run_meets_tight_tolerance():
     rep = run_adaptive(x, cfg, rel=True)
     assert rep.result.achieved
     assert rep.relative_error <= 0.001 * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("eps_rel", [1e-13, 1e-14])
+def test_precision_floor_error_matches_time_domain(eps_rel):
+    # The error is measured on the half spectrum; it may differ from the
+    # time-domain residual by rounding, a few ulps of ||x||, no more.
+    x = hilbert_tensor(1, 80)
+    nx = frobenius_norm(x)
+    rep = run_adaptive(x, AdaptiveConfig(epsilon=eps_rel, block_size=5, power_iters=1,
+                                         seed=RngStream(0)), rel=True)
+    qb = rep.result
+    assert qb.achieved and rep.relative_error <= eps_rel
+    time_domain = frobenius_norm(x - irfft_tubes(qb.qh @ qb.bh, 80)) / nx
+    assert abs(rep.relative_error - time_domain) <= 4 * np.finfo(np.float64).eps
+    # At the floor the run certified the bound on the same residual it reports.
+    assert math.sqrt(qb.energy_trace[-1]) / nx == rep.relative_error
+
+
+def test_run_adaptive_zero_tensor_reports_zero_error():
+    rep = run_adaptive(np.zeros((8, 6, 4)), AdaptiveConfig(epsilon=0.5, block_size=3,
+                                                           seed=RngStream(22)))
+    assert rep.estimated_rank == 0 and rep.result.achieved
+    assert rep.relative_error == 0.0
 
 
 def test_report_json_schema(tmp_path, rand_tensor):

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tubal
 from tubal import (
     RngStream,
     frobenius_norm,
@@ -173,6 +176,10 @@ def test_repeated_process_runs_identical_modulo_walltime(tmp_path):
     x = gaussian_tensor(14, 11, 4, RngStream(17))
     tns = tmp_path / "x.tns"
     save_tns(x, tns)
+    # The child imports tubal from where this process did.
+    src = str(Path(tubal.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     texts = []
     for name in ("p1.json", "p2.json"):
         out = tmp_path / name
@@ -180,7 +187,7 @@ def test_repeated_process_runs_identical_modulo_walltime(tmp_path):
             [sys.executable, "-m", "tubal.cli", "adaptive", "--in", str(tns),
              "--eps", "0.15", "--rel", "--block", "3", "--power", "1",
              "--seed", "5", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         texts.append(out.read_text().splitlines())
     kept = [[ln for ln in t if "wall_time_ms" not in ln] for t in texts]

@@ -15,10 +15,12 @@ from tubal import (
     gaussian_tensor,
     identity_tensor,
     idft_tubes,
+    orth,
     tprod,
+    tprod_oracle,
     transpose,
 )
-from tubal.core import irfft_tubes, num_head_slices, rfft_tubes
+from tubal.core import irfft_tubes, num_head_slices, residual_energy, rfft_tubes
 from conftest import naive_dft_tubes
 
 dims = st.integers(min_value=1, max_value=6)
@@ -243,3 +245,40 @@ def test_irfft_tubes_layout(rand_tensor):
     x = irfft_tubes(rfft_tubes(rand_tensor(5, 4, 7, seed=91)), 7)
     assert x.shape == (5, 4, 7) and x.strides == (8 * 4, 8, 8 * 5 * 4)
 
+
+# ------------------------------------------------------------ residual energy
+
+@pytest.mark.parametrize("i3", [1, 2, 6, 7])
+def test_residual_energy_matches_time_domain(i3, monkeypatch, rand_tensor):
+    i1, i2, rank = 9, 7, 3
+    x = rand_tensor(i1, i2, i3, seed=92)
+    q = orth(rand_tensor(i1, rank, i3, seed=93))
+    b = rand_tensor(rank, i2, i3, seed=94)
+    xh, qh, bh = rfft_tubes(x), rfft_tubes(q), rfft_tubes(b)
+    inverse = frobenius_norm(x - irfft_tubes(qh @ bh, i3)) ** 2
+    oracle = frobenius_norm(x - tprod_oracle(q, b)) ** 2
+    whole = residual_energy(xh, qh, bh, i3)
+    assert whole == pytest.approx(inverse, rel=1e-13)
+    assert whole == pytest.approx(oracle, rel=1e-12)
+    # Blocks of two slices, of one slice, of two rows of a slice, of one row.
+    slice_bytes = 16 * i1 * i2
+    for budget in (2 * slice_bytes, slice_bytes, 32 * i2, 1):
+        monkeypatch.setattr(tubal.core, "RESIDUAL_BLOCK_BYTES", budget)
+        assert residual_energy(xh, qh, bh, i3) == pytest.approx(whole, rel=1e-13)
+
+
+def test_residual_energy_of_zero_tensor(rand_tensor):
+    xh = rfft_tubes(np.zeros((6, 5, 4)))
+    assert residual_energy(xh, xh[:, :, :0], xh[:, :0, :], 4) == 0.0
+    qh = rfft_tubes(orth(rand_tensor(6, 2, 4, seed=95)))
+    assert residual_energy(xh, qh, np.zeros((3, 2, 5), dtype=np.complex128), 4) == 0.0
+
+
+def test_residual_energy_accepts_views(rand_tensor):
+    # The adaptive core returns qh and bh as views of larger stacks.
+    x = rand_tensor(8, 6, 5, seed=96)
+    q = orth(rand_tensor(8, 4, 5, seed=97))
+    xh, qh = rfft_tubes(x), rfft_tubes(q)
+    bh = np.swapaxes(qh, 1, 2).conj() @ xh
+    want = frobenius_norm(x - irfft_tubes(qh[:, :, :3] @ bh[:, :3], 5)) ** 2
+    assert residual_energy(xh, qh[:, :, :3], bh[:, :3], 5) == pytest.approx(want, rel=1e-13)

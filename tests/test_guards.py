@@ -54,7 +54,7 @@ def _count_sizes(monkeypatch, name, size_of):
         sizes.append(size_of(args[0], out))
         return out
 
-    for module in ("core", "tprod", "decomp", "randomized", "bench"):
+    for module in ("core", "tprod", "decomp", "randomized", "bench", "cli"):
         mod = importlib.import_module(f"tubal.{module}")
         if getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, counting)
@@ -110,6 +110,21 @@ def test_cli_adaptive_job_transforms_only_x(x_transforms, tmp_path, rand_tensor)
     assert (tmp_path / "f.S.tns").exists()
     assert x_transforms.count(x.size) == 1
     assert max(s for s in x_transforms if s != x.size) <= 20 * 4 * 6
+
+
+def test_cli_adaptive_job_inverts_nothing_x_sized(inverses, monkeypatch, tmp_path,
+                                                 rand_tensor):
+    # The error is measured on the half spectrum: no x-sized inverse
+    # transform, and the norm of x is taken once per job.
+    norms = _count_sizes(monkeypatch, "frobenius_norm", lambda t, _: np.size(t))
+    x = rand_tensor(30, 20, 6, seed=80)
+    save_tns(x, tmp_path / "x.tns")
+    code = main(["adaptive", "--in", str(tmp_path / "x.tns"), "--eps", "0.3", "--rel",
+                 "--block", "4", "--power", "1", "--seed", "81",
+                 "--out", str(tmp_path / "r.json"), "--save-factors", str(tmp_path / "f")])
+    assert code == 0 and (tmp_path / "f.S.tns").exists()
+    assert inverses and x.size not in inverses
+    assert norms.count(x.size) == 1
 
 
 def test_cli_compress_forms_one_reconstruction(inverses, tmp_path, rand_tensor):
