@@ -13,14 +13,9 @@ from .bench import (
 from .core import (
     RngStream,
     as_tensor3,
-    concat_mode1,
-    concat_mode2,
-    dft_tubes,
     frobenius_norm,
-    gaussian_matrix,
     gaussian_tensor,
     identity_tensor,
-    idft_tubes,
     transpose,
 )
 from .decomp import TSVDFactors, orth, reconstruct, t_qr, truncated_tsvd, tubal_rank
@@ -31,11 +26,9 @@ from .errors import (
     DimMismatch,
     DimOverflow,
     EmptyDir,
-    ImaginaryResidue,
     InconsistentDims,
     NonFiniteData,
     RankOutOfRange,
-    SizeGuard,
     SpecInvalid,
     TruncatedFile,
     TubalError,
@@ -45,13 +38,11 @@ from .randomized import (
     QBApprox,
     SpectralQB,
     adaptive_qb,
-    blocked_randqb_matrix,
     qb_to_tsvd,
     randomized_tsvd,
-    trim_last_block,
 )
 from .tio import load_pgm_stack, load_tns, reshape3, save_pgm_stack, save_tns
-from .tprod import is_orthogonal, tprod, tprod_oracle
+from .tprod import is_orthogonal, tprod
 
 __version__ = "0.1.0"
 
@@ -63,14 +54,12 @@ __all__ = [
     "DimMismatch",
     "DimOverflow",
     "EmptyDir",
-    "ImaginaryResidue",
     "InconsistentDims",
     "NonFiniteData",
     "QBApprox",
     "RankOutOfRange",
     "RngStream",
     "RunReport",
-    "SizeGuard",
     "SpecInvalid",
     "SpectralQB",
     "SyntheticSpec",
@@ -79,17 +68,11 @@ __all__ = [
     "TubalError",
     "adaptive_qb",
     "as_tensor3",
-    "blocked_randqb_matrix",
-    "concat_mode1",
-    "concat_mode2",
-    "dft_tubes",
     "frobenius_norm",
-    "gaussian_matrix",
     "gaussian_tensor",
     "gen_synthetic",
     "hilbert_tensor",
     "identity_tensor",
-    "idft_tubes",
     "is_orthogonal",
     "load_pgm_stack",
     "load_tns",
@@ -105,9 +88,7 @@ __all__ = [
     "save_tns",
     "t_qr",
     "tprod",
-    "tprod_oracle",
     "transpose",
-    "trim_last_block",
     "truncated_tsvd",
     "tubal_rank",
 ]

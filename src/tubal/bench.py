@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -156,7 +156,9 @@ class RunReport:
     that take an error bound, None otherwise.  ``result`` carries the
     in-memory factorization for callers that need it, and is not
     serialized: TSVDFactors, or for an adaptive run the SpectralQB pair on
-    the half spectrum.
+    the half spectrum.  Every other field, in order, is the report's
+    schema: the JSON keys and, with epsilon split into its two values, the
+    CSV columns.
     """
 
     dims: tuple
@@ -173,19 +175,9 @@ class RunReport:
     result: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "method": self.method,
-            "epsilon": self.epsilon,
-            "block_size": self.block_size,
-            "power_iters": self.power_iters,
-            "seed": self.seed,
-            "estimated_rank": self.estimated_rank,
-            "relative_error": self.relative_error,
-            "wall_time_ms": self.wall_time_ms,
-            "iterations": self.iterations,
-            "energy_trace": self.energy_trace,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "result"}
+        d["dims"] = list(self.dims)
+        return d
 
 
 def write_report(report: RunReport, path) -> None:
@@ -196,22 +188,23 @@ def write_report(report: RunReport, path) -> None:
 
 def append_csv(report: RunReport, path) -> None:
     """Append the report as one CSV row, writing a header for a new file."""
-    d = report.to_dict()
-    d["dims"] = "x".join(str(v) for v in d["dims"])
-    eps = d.pop("epsilon")
-    d["epsilon_absolute"] = None if eps is None else eps["absolute"]
-    d["epsilon_relative"] = None if eps is None else eps["relative"]
-    trace = d.pop("energy_trace")
-    d["energy_trace"] = None if trace is None else "|".join(repr(v) for v in trace)
-    cols = ["dims", "method", "epsilon_absolute", "epsilon_relative", "block_size",
-            "power_iters", "seed", "estimated_rank", "relative_error",
-            "wall_time_ms", "iterations", "energy_trace"]
+    row = {}
+    for name, value in report.to_dict().items():
+        if name == "epsilon":
+            for kind in ("absolute", "relative"):
+                row[f"epsilon_{kind}"] = None if value is None else value[kind]
+        elif name == "dims":
+            row[name] = "x".join(str(v) for v in value)
+        elif name == "energy_trace":
+            row[name] = None if value is None else "|".join(repr(v) for v in value)
+        else:
+            row[name] = value
     new_file = not os.path.exists(path)
     with open(path, "a", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=cols)
+        w = csv.DictWriter(f, fieldnames=list(row))
         if new_file:
             w.writeheader()
-        w.writerow(d)
+        w.writerow(row)
 
 
 def _relative_error(x: np.ndarray, approx: np.ndarray) -> float:

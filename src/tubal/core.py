@@ -1,4 +1,4 @@
-"""Dense third-order tensors, tube-domain transforms, and elementary tubal algebra.
+"""Dense third-order tensors, the half-spectrum tube transform, and elementary tubal algebra.
 
 A third-order tensor is a real float64 ndarray of shape (I1, I2, I3), in
 any memory layout.  Linear offsets, and TNS1 files, are first-mode-fastest:
@@ -10,17 +10,17 @@ semantics.
 Every t-operation runs on the half spectrum, the (K, I1, I2) stack of the
 K = I3//2 + 1 leading DFT slices, as batched matrix operations;
 rfft_tubes and irfft_tubes are the only conversions to and from it.
+
+concat_mode1 and concat_mode2 have no caller in the library and the package
+does not export them; they stay public here because the benchmark's
+per-layer metrics in BENCHMARK.json name them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, ImaginaryResidue, NonFiniteData
-
-# Relative threshold for discarding the imaginary part after an inverse
-# tube transform; above it the input did not satisfy conjugate symmetry.
-IMAG_RESIDUE_RTOL = 1e-8
+from .errors import DimMismatch, NonFiniteData
 
 # rfft_tubes copies numpy's rfft output into the stack layout in row blocks
 # whose spectrum takes at most this many bytes, bounding the transient.
@@ -43,39 +43,6 @@ def as_tensor3(data) -> np.ndarray:
     if not np.isfinite(x).all():
         raise NonFiniteData("tensor contains NaN or Inf entries")
     return x
-
-
-def dft_tubes(x: np.ndarray) -> np.ndarray:
-    """Unnormalized forward DFT applied to every mode-3 fiber.
-
-    Returns a complex tensor of the same shape; slice k equals
-    sum_j x[:, :, j] * exp(-2i*pi*j*k/I3).
-    """
-    return np.fft.fft(np.asarray(x, dtype=np.float64), axis=2)
-
-
-def idft_tubes(xhat: np.ndarray) -> np.ndarray:
-    """Inverse tube transform (1/I3 normalization), asserting the result is real.
-
-    Raises ImaginaryResidue when max |imag| exceeds
-    IMAG_RESIDUE_RTOL * (1 + max |real|), which signals the input did not
-    have the conjugate symmetry of a transformed real tensor.
-    """
-    c = np.fft.ifft(np.asarray(xhat, dtype=np.complex128), axis=2)
-    if c.size:
-        bound = IMAG_RESIDUE_RTOL * (1.0 + np.abs(c.real).max())
-        worst = np.abs(c.imag).max()
-        if worst > bound:
-            raise ImaginaryResidue(
-                f"imaginary residue {worst:.3e} exceeds {bound:.3e}; "
-                "input is not conjugate symmetric"
-            )
-    return c.real.copy()
-
-
-def num_head_slices(i3: int) -> int:
-    """Number of leading tube-frequency slices that determine the rest: ceil((I3+1)/2)."""
-    return i3 // 2 + 1
 
 
 def rfft_tubes(x: np.ndarray) -> np.ndarray:
@@ -210,16 +177,6 @@ def _resolve_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
-
-
-def gaussian_matrix(rows: int, cols: int, rng) -> np.ndarray:
-    """I.i.d. standard normal matrix, entries drawn column by column.
-
-    The draw order matches the linear-offset order of gaussian_tensor so a
-    matrix consumes the stream exactly like the equivalent I3=1 tensor.
-    """
-    gen = _resolve_generator(rng)
-    return gen.standard_normal(rows * cols).reshape((rows, cols), order="F")
 
 
 def gaussian_tensor(i1: int, i2: int, i3: int, rng) -> np.ndarray:

@@ -9,14 +9,6 @@ class DimMismatch(TubalError, ValueError):
     """Operand dimensions do not conform."""
 
 
-class ImaginaryResidue(TubalError, ValueError):
-    """Inverse tube transform left a non-negligible imaginary part."""
-
-
-class SizeGuard(TubalError, ValueError):
-    """Requested dense materialization exceeds the safety cap."""
-
-
 class RankOutOfRange(TubalError, ValueError):
     """Requested truncation rank is not in [1, min(I1, I2)] or exceeds what is available."""
 
@@ -26,7 +18,7 @@ class DegenerateInput(TubalError, ValueError):
 
 
 class SpecInvalid(TubalError, ValueError):
-    """Synthetic problem description violates its own constraints."""
+    """A synthetic problem description or an algorithm configuration violates its constraints."""
 
 
 class NonFiniteData(TubalError, ValueError):

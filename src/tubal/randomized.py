@@ -2,9 +2,10 @@
 
 Contains the fixed-rank randomized t-SVD with subspace (power) iteration,
 the adaptive fixed-precision QB factorization that discovers the tubal
-rank from an error bound, the per-slice rank trimming of the final block,
-and the blocked matrix randQB reference the tensor algorithm degenerates
-to at I3 = 1.
+rank from an error bound, and the per-slice rank trimming of the final
+block.  trim_last_block, the trim on a time-domain QBApprox, has no caller
+in the library and the package does not export it; it stays public here
+because the benchmark's per-layer metrics in BENCHMARK.json name it.
 
 The adaptive algorithm does not form the residual tensor.  It tracks the
 squared residual through the recursion E <- E - ||B_i||_F^2, which is
@@ -24,7 +25,6 @@ from .core import (
     RngStream,
     adjoint,
     frobenius_norm,
-    gaussian_matrix,
     gaussian_tensor,
     irfft_tubes,
     residual_energy,
@@ -32,7 +32,7 @@ from .core import (
     row_energies,
 )
 from .decomp import TSVDFactors, orth_spectral, tsvd_factors
-from .errors import DegenerateInput, RankOutOfRange
+from .errors import DegenerateInput, RankOutOfRange, SpecInvalid
 
 # Below epsilon^2 = PRECISION_FLOOR_ULPS * ulp(1) * ||x||_F^2 the energy
 # recursion cannot certify the bound, so the residual is computed explicitly.
@@ -47,7 +47,8 @@ class AdaptiveConfig:
     (callers wanting a relative bound multiply by ||x||_F once up front);
     block_size columns are added per iteration; power_iters subspace
     rounds sharpen each block; max_rank caps the search (None means
-    min(I1, I2) of the tensor being factored).
+    min(I1, I2) of the tensor being factored).  A value out of range,
+    NaN included, raises SpecInvalid.
     """
 
     epsilon: float
@@ -57,14 +58,14 @@ class AdaptiveConfig:
     seed: RngStream = field(default_factory=lambda: RngStream(0))
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not self.epsilon >= 0:
+            raise SpecInvalid(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+            raise SpecInvalid(f"block_size must be >= 1, got {self.block_size}")
         if self.power_iters < 0:
-            raise ValueError("power_iters must be >= 0")
+            raise SpecInvalid(f"power_iters must be >= 0, got {self.power_iters}")
         if self.max_rank is not None and self.max_rank < 1:
-            raise ValueError("max_rank must be >= 1")
+            raise SpecInvalid(f"max_rank must be >= 1, got {self.max_rank}")
 
 
 class SpectralQB(NamedTuple):
@@ -95,9 +96,12 @@ class QBApprox:
 
     q: np.ndarray
     b: np.ndarray
-    rank: int
     energy_trace: list
     achieved: bool
+
+    @property
+    def rank(self) -> int:
+        return self.b.shape[0]
 
 
 def _power_iterate(xh: np.ndarray, q: np.ndarray, i3: int, scale: float,
@@ -147,9 +151,10 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
 def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBApprox:
     """Grow a QB factorization block by block until ||x - q*b||_F < epsilon.
 
-    Each iteration sketches block_size new directions (fewer for a last
-    block that reaches the rank cap) against the part of x not yet
-    captured, orthonormalizes them against the accumulated basis, and
+    The bound is tested before every block, so an x with ||x||_F < epsilon
+    gets rank 0.  Each iteration sketches block_size new directions (fewer
+    for a last block that reaches the rank cap) against the part of x not
+    yet captured, orthonormalizes them against the accumulated basis, and
     updates the residual energy by the recursion instead of forming the
     residual.  On success the final block is trimmed slice by slice to
     the smallest rank still meeting the bound (disable with trim=False to
@@ -159,8 +164,8 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
 
     If the rank cap is reached first, the best factorization found is
     returned with achieved=False.  A degenerate (numerically zero relative
-    to x) sketch means x is already fully captured; the current factors
-    are returned and achieved reflects the energy bound.
+    to x) sketch means x is already fully captured, yet the bound was not
+    met before it; the current factors are returned with achieved=False.
 
     At the precision floor (epsilon^2 at most PRECISION_FLOOR_ULPS ulps of
     ||x||_F^2) the energy after each block is the explicitly computed
@@ -175,8 +180,8 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
     # xh is held until q and b are inverted, so they are not placed in the
     # memory xh frees: a caller's later x-sized temporaries (x - q*b) reuse
     # it instead of growing the heap and page-faulting on every product.
-    return QBApprox(q=irfft_tubes(qh, i3), b=irfft_tubes(bh, i3), rank=bh.shape[1],
-                    energy_trace=trace, achieved=achieved)
+    return QBApprox(q=irfft_tubes(qh, i3), b=irfft_tubes(bh, i3), energy_trace=trace,
+                    achieved=achieved)
 
 
 def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
@@ -201,9 +206,8 @@ def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
     trace: list = []
     energy = norm ** 2
     floor = eps2 <= PRECISION_FLOOR_ULPS * np.finfo(np.float64).eps * energy
-    achieved = False
 
-    while bh.shape[1] < max_rank:
+    while not (achieved := energy < eps2) and bh.shape[1] < max_rank:
         rank = bh.shape[1]
         omega = rfft_tubes(gaussian_tensor(i2, min(b_size, max_rank - rank), i3, gen))
         try:
@@ -218,7 +222,6 @@ def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
                 for _ in range(2 if floor else 1):
                     q_i = orth_spectral(q_i - qh @ adjoint(adjoint(q_i) @ qh), i3)
         except DegenerateInput:
-            achieved = energy < eps2
             break
         b_i = adjoint(q_i) @ xh
         qh = np.concatenate([qh, q_i], axis=2)
@@ -228,14 +231,10 @@ def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
             energy = residual_energy(xh, qh, bh, i3)
         else:
             energy -= float(row_energies(b_i, i3).sum())
-        achieved = energy < eps2
         # Below 0 is cancellation noise; the true squared residual is ~0.
         trace.append(max(energy, 0.0))
-        if achieved:
-            break
 
-    # A run that succeeds with blocks behind it succeeded on its last block:
-    # a degenerate sketch can only certify the bound before the first one.
+    # A run that succeeds with blocks behind it succeeded on its last block.
     if achieved and trim and trace and not floor:
         # rank is still the rank before the final block b_i.
         kept, energy = _trim_rows(row_energies(b_i, i3), energy_before_last, eps2)
@@ -288,8 +287,8 @@ def trim_last_block(qb: QBApprox, energy_before_last: float, epsilon: float,
         return qb
     rank = start + kept
     trace = list(qb.energy_trace[:-1]) + [max(energy, 0.0)]
-    return QBApprox(q=qb.q[:, :rank, :], b=qb.b[:rank, :, :], rank=rank,
-                    energy_trace=trace, achieved=True)
+    return QBApprox(q=qb.q[:, :rank, :], b=qb.b[:rank, :, :], energy_trace=trace,
+                    achieved=True)
 
 
 def qb_to_tsvd(qb: QBApprox, rank="all") -> TSVDFactors:
@@ -298,41 +297,3 @@ def qb_to_tsvd(qb: QBApprox, rank="all") -> TSVDFactors:
     if not 1 <= r <= qb.rank:
         raise RankOutOfRange(f"rank {rank} not in [1, {qb.rank}]")
     return tsvd_factors(rfft_tubes(qb.b), r, qb.b.shape[2], lift=rfft_tubes(qb.q))
-
-
-def _orth_cols(a: np.ndarray) -> np.ndarray:
-    return np.linalg.qr(a)[0]
-
-
-def blocked_randqb_matrix(a: np.ndarray, epsilon: float, block_size: int,
-                          power_iters: int, rng):
-    """Blocked randQB on a plain matrix with explicit residual deflation.
-
-    Returns (q, b, rank).  Unlike the tensor algorithm this keeps the
-    residual x explicitly, deflates it after every block, and stops when
-    ||x||_F <= epsilon; the tensor algorithm must agree with it at I3 = 1.
-    Power iterations here multiply by the current residual, which matches
-    the original-matrix variant exactly for power_iters <= 1 once blocks
-    are orthogonalized against the accumulated basis.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    m, n = a.shape
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    x = a.copy()
-    q_acc = np.zeros((m, 0))
-    b_acc = np.zeros((0, n))
-    while q_acc.shape[1] < min(m, n):
-        omega = gaussian_matrix(n, min(block_size, min(m, n) - q_acc.shape[1]), gen)
-        q_i = _orth_cols(x @ omega)
-        for _ in range(power_iters):
-            q_i = _orth_cols(x.T @ q_i)
-            q_i = _orth_cols(x @ q_i)
-        if q_acc.shape[1]:
-            q_i = _orth_cols(q_i - q_acc @ (q_acc.T @ q_i))
-        b_i = q_i.T @ x
-        x = x - q_i @ b_i
-        q_acc = np.hstack([q_acc, q_i])
-        b_acc = np.vstack([b_acc, b_i])
-        if np.linalg.norm(x) <= epsilon:
-            break
-    return q_acc, b_acc, q_acc.shape[1]

@@ -166,6 +166,19 @@ def test_bad_magic_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--block", "0"), ("--eps", "-1"),
+                                         ("--power", "-1"), ("--eps", "nan")])
+def test_invalid_adaptive_flag_exits_1(flag, value, tmp_path, capsys):
+    tns = tmp_path / "x.tns"
+    save_tns(gaussian_tensor(6, 5, 3, RngStream(8)), tns)
+    out = tmp_path / "r.json"
+    flags = {"--eps": "0.1", "--block": "2", "--power": "1", flag: value}
+    code = run_cli("adaptive", "--in", tns, "--out", out, *sum(flags.items(), ()))
+    assert code == 1 and not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tubal: error:")
+
+
 def test_usage_error_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("adaptive", "--nonsense")

@@ -6,22 +6,17 @@ from numpy.testing import assert_allclose
 import tubal.core
 from tubal import (
     DimMismatch,
-    ImaginaryResidue,
     RngStream,
-    concat_mode1,
-    concat_mode2,
-    dft_tubes,
     frobenius_norm,
     gaussian_tensor,
     identity_tensor,
-    idft_tubes,
     orth,
     tprod,
-    tprod_oracle,
     transpose,
 )
-from tubal.core import irfft_tubes, num_head_slices, residual_energy, rfft_tubes
+from tubal.core import concat_mode1, concat_mode2, irfft_tubes, residual_energy, rfft_tubes
 from conftest import naive_dft_tubes
+from references import ImaginaryResidue, dft_tubes, idft_tubes, tprod_oracle
 
 dims = st.integers(min_value=1, max_value=6)
 tube_len = st.integers(min_value=1, max_value=8)
@@ -84,8 +79,7 @@ def test_conjugate_symmetry(i1, i2, i3, seed):
     x = gaussian_tensor(i1, i2, i3, RngStream(seed))
     xh = dft_tubes(x)
     nx = frobenius_norm(x)
-    assert num_head_slices(i3) == (i3 + 2) // 2
-    for k in range(num_head_slices(i3), i3):
+    for k in range(i3 // 2 + 1, i3):
         gap = np.linalg.norm(xh[:, :, k] - xh[:, :, i3 - k].conj())
         assert gap <= 1e-10 * max(nx, 1e-30)
 

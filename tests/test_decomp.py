@@ -8,11 +8,9 @@ from tubal import (
     RngStream,
     SyntheticSpec,
     adaptive_qb,
-    dft_tubes,
     frobenius_norm,
     gen_synthetic,
     identity_tensor,
-    idft_tubes,
     is_orthogonal,
     orth,
     reconstruct,
@@ -22,6 +20,7 @@ from tubal import (
     truncated_tsvd,
     tubal_rank,
 )
+from references import dft_tubes, idft_tubes
 
 
 def full_loop_truncated_tsvd(x, rank):

@@ -5,9 +5,9 @@ from tubal import (
     AdaptiveConfig,
     RankOutOfRange,
     RngStream,
+    SpecInvalid,
     SyntheticSpec,
     adaptive_qb,
-    blocked_randqb_matrix,
     frobenius_norm,
     gaussian_tensor,
     gen_synthetic,
@@ -19,9 +19,10 @@ from tubal import (
     reconstruct,
     tprod,
     transpose,
-    trim_last_block,
     truncated_tsvd,
 )
+from tubal.randomized import trim_last_block
+from references import blocked_randqb_matrix
 
 
 def exact_rank_tensor(i1, i2, i3, rank, seed):
@@ -89,8 +90,8 @@ def test_adaptive_trivial_bound_trims_to_tiny_rank(rand_tensor):
                          power_iters=0, seed=RngStream(9))
     qb = adaptive_qb(x, cfg)
     assert qb.achieved
-    assert 1 <= qb.rank <= 5
-    assert qb_error(x, qb) <= cfg.epsilon * (1 + 1e-6)
+    assert qb.rank == 0 and qb.energy_trace == []
+    assert qb_error(x, qb) <= cfg.epsilon
 
 
 def test_adaptive_recovers_plateau_rank_under_noise():
@@ -312,13 +313,16 @@ def test_config_validation():
         AdaptiveConfig(epsilon=1.0, block_size=0)
     with pytest.raises(ValueError):
         AdaptiveConfig(epsilon=1.0, block_size=2, power_iters=-1)
+    with pytest.raises(SpecInvalid):
+        AdaptiveConfig(epsilon=float("nan"), block_size=2)
 
 
 # ------------------------------------------------------------------ trimming
 
 def _untrimmed_single_block(x, block_size, seed):
-    cfg = AdaptiveConfig(epsilon=2.0 * frobenius_norm(x), block_size=block_size,
-                         power_iters=0, seed=RngStream(seed))
+    # The rank cap stops the run after its first block.
+    cfg = AdaptiveConfig(epsilon=1e-6 * frobenius_norm(x), block_size=block_size,
+                         max_rank=block_size, power_iters=0, seed=RngStream(seed))
     qb = adaptive_qb(x, cfg, trim=False)
     assert len(qb.energy_trace) == 1
     return qb
