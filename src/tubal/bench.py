@@ -55,8 +55,8 @@ class SyntheticSpec:
             raise SpecInvalid(f"unknown case {self.case!r}, expected one of {SYNTHETIC_CASES}")
         if not self.n >= self.rank >= 1:
             raise SpecInvalid(f"need n >= rank >= 1, got n={self.n}, rank={self.rank}")
-        if self.delta < 0:
-            raise SpecInvalid(f"delta must be nonnegative, got {self.delta}")
+        if not 0 <= self.delta < np.inf:
+            raise SpecInvalid(f"delta must be finite and nonnegative, got {self.delta}")
 
 
 def decay_profile(case: str, n: int, rank: int) -> np.ndarray:

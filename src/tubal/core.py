@@ -118,8 +118,6 @@ def adjoint(h: np.ndarray) -> np.ndarray:
 def transpose(x: np.ndarray) -> np.ndarray:
     """Tensor transpose: transpose every frontal slice and reverse slices 2..I3."""
     xt = np.asarray(x).transpose(1, 0, 2)
-    if xt.shape[2] <= 1:
-        return xt.copy()
     return np.concatenate([xt[:, :, :1], xt[:, :, :0:-1]], axis=2)
 
 

@@ -30,7 +30,10 @@ class TSVDFactors:
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.s.shape[0]
 
 
 def _check3(x, name: str) -> np.ndarray:
@@ -85,7 +88,7 @@ def tsvd_factors(h: np.ndarray, rank: int, i3: int, lift=None) -> TSVDFactors:
     idx = np.arange(rank)
     s[idx, idx] = np.fft.irfft(sh[:, :rank], n=i3, axis=0).T
     return TSVDFactors(u=irfft_tubes(uh, i3), s=s,
-                       v=irfft_tubes(adjoint(vhh[:, :rank, :]), i3), rank=rank)
+                       v=irfft_tubes(adjoint(vhh[:, :rank, :]), i3))
 
 
 def truncated_tsvd(x: np.ndarray, rank: int) -> TSVDFactors:
@@ -103,13 +106,13 @@ def reconstruct(f: TSVDFactors) -> np.ndarray:
     return irfft_tubes(h, f.u.shape[2])
 
 
-def tubal_rank(x: np.ndarray, tol="auto") -> int:
+def tubal_rank(x: np.ndarray) -> int:
     """Numerical tubal rank: max matrix rank over frequency-domain slices.
 
-    A singular value counts while it exceeds ``tol``; ``"auto"`` uses
-    max(I1, I2) * ulp(largest singular value over all slices), the usual
-    matrix-rank default.  Mirrored slices share singular values, so only
-    the leading half is examined.
+    A singular value counts while it exceeds max(I1, I2) * ulp(largest
+    singular value over all slices), the usual matrix-rank default.
+    Mirrored slices share singular values, so only the leading half is
+    examined.
     """
     x = _check3(x, "tubal_rank")
     if x.size == 0:
@@ -118,6 +121,5 @@ def tubal_rank(x: np.ndarray, tol="auto") -> int:
     smax = float(svals.max(initial=0.0))
     if smax == 0.0:
         return 0
-    if tol == "auto":
-        tol = max(x.shape[0], x.shape[1]) * np.spacing(smax)
+    tol = max(x.shape[0], x.shape[1]) * np.spacing(smax)
     return int((svals > tol).sum(axis=1).max())

@@ -2,10 +2,9 @@
 
 Contains the fixed-rank randomized t-SVD with subspace (power) iteration,
 the adaptive fixed-precision QB factorization that discovers the tubal
-rank from an error bound, and the per-slice rank trimming of the final
-block.  trim_last_block, the trim on a time-domain QBApprox, has no caller
-in the library and the package does not export it; it stays public here
-because the benchmark's per-layer metrics in BENCHMARK.json name it.
+rank from an error bound, and trim_last_block, the rule that trims the
+final block to the exact rank.  The package does not export
+trim_last_block; it is public so that the benchmark can trace it.
 
 The adaptive algorithm does not form the residual tensor.  It tracks the
 squared residual through the recursion E <- E - ||B_i||_F^2, which is
@@ -135,11 +134,13 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     """
     x = np.asarray(x, dtype=np.float64)
     i1, i2, i3 = x.shape
-    if rank < 1 or rank + oversample > min(i1, i2):
+    if rank < 1 or oversample < 0 or rank + oversample > min(i1, i2):
         raise RankOutOfRange(
-            f"need 1 <= rank and rank + oversample <= {min(i1, i2)}, "
+            f"need 1 <= rank, 0 <= oversample and rank + oversample <= {min(i1, i2)}, "
             f"got rank={rank}, oversample={oversample}"
         )
+    if power_iters < 0:
+        raise SpecInvalid(f"power_iters must be >= 0, got {power_iters}")
     omega = rfft_tubes(gaussian_tensor(i2, rank + oversample, i3, rng))
     xh = rfft_tubes(x)
     # The degeneracy test is relative to the root-mean-square entry of x.
@@ -237,23 +238,23 @@ def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
     # A run that succeeds with blocks behind it succeeded on its last block.
     if achieved and trim and trace and not floor:
         # rank is still the rank before the final block b_i.
-        kept, energy = _trim_rows(row_energies(b_i, i3), energy_before_last, eps2)
-        if energy is not None:
-            qh, bh = qh[:, :, :rank + kept], bh[:, :rank + kept]
-            trace[-1] = max(energy, 0.0)
+        kept, energy = trim_last_block(row_energies(b_i, i3), energy_before_last, eps2)
+        qh, bh = qh[:, :, :rank + kept], bh[:, :rank + kept]
+        trace[-1] = max(energy, 0.0)
     return SpectralQB(qh, bh, trace, achieved)
 
 
-def _trim_rows(rows: np.ndarray, energy_before_last: float, eps2: float):
-    """How many rows of a final block meet the bound: the trim rule.
+def trim_last_block(rows: np.ndarray, energy_before_last: float, eps2: float):
+    """How many rows of a successful run's final block meet the bound: the trim rule.
 
-    rows are the squared norms of the block's horizontal slices, in order.
-    Returns (kept, energy), the fewest leading rows whose norms, subtracted
-    from energy_before_last, bring it below eps2, and the energy they
-    leave; energy is None when the whole block is needed.
+    rows are the squared norms of the block's horizontal slices, in order,
+    and energy_before_last the squared residual before the block; the
+    whole block meets the bound.  Returns (kept, energy): the fewest
+    leading rows whose norms, subtracted from energy_before_last, bring it
+    below eps2, and the energy they leave.  The matching lateral slices of
+    q can be dropped without recomputation, because the energy recursion
+    never involves q.
     """
-    if energy_before_last - rows.sum() >= eps2:
-        return len(rows), None
     energy, kept = energy_before_last, 0
     for kept, row in enumerate(rows, start=1):
         energy -= float(row)
@@ -262,37 +263,11 @@ def _trim_rows(rows: np.ndarray, energy_before_last: float, eps2: float):
     return kept, energy
 
 
-def trim_last_block(qb: QBApprox, energy_before_last: float, epsilon: float,
-                    block_size: int | None = None) -> QBApprox:
-    """Shrink the final block of a successful QB run to the exact rank needed.
-
-    Re-subtracts the squared norms of the final block's horizontal slices
-    from the energy as it stood before that block, keeping slices until
-    the bound is first met; the matching lateral slices of q are dropped
-    without recomputation, which is valid because the energy recursion
-    never involves q.  The final block follows len(energy_trace) - 1 blocks
-    of block_size rows, and is partial when it stopped at the rank cap;
-    block_size None means qb is made of equal blocks.  adaptive_qb applies
-    the same rule on the half spectrum.
-    """
-    blocks = len(qb.energy_trace)
-    if block_size is None and blocks and qb.rank % blocks == 0:
-        block_size = qb.rank // blocks
-    if not blocks or block_size is None:
-        raise ValueError("trim needs a QB built from whole blocks, or its block_size")
-    start = (blocks - 1) * block_size
-    kept, energy = _trim_rows((qb.b[start:] ** 2).sum(axis=(1, 2)), energy_before_last,
-                              epsilon ** 2)
-    if energy is None:
-        return qb
-    rank = start + kept
-    trace = list(qb.energy_trace[:-1]) + [max(energy, 0.0)]
-    return QBApprox(q=qb.q[:, :rank, :], b=qb.b[:rank, :, :], energy_trace=trace,
-                    achieved=True)
-
-
 def qb_to_tsvd(qb: QBApprox, rank="all") -> TSVDFactors:
     """Recover tubal SVD factors from a QB pair: SVD the small b, lift u through q."""
+    if qb.rank == 0:
+        raise RankOutOfRange("qb has rank 0, so there are no factors: ||x||_F was "
+                             "already below epsilon, or x is numerically zero")
     r = qb.rank if rank == "all" else int(rank)
     if not 1 <= r <= qb.rank:
         raise RankOutOfRange(f"rank {rank} not in [1, {qb.rank}]")

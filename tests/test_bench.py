@@ -34,8 +34,9 @@ def test_spec_validation():
         SyntheticSpec(case="nope", n=10)
     with pytest.raises(SpecInvalid):
         SyntheticSpec(case="exact-lowrank", n=5, rank=6)
-    with pytest.raises(SpecInvalid):
-        SyntheticSpec(case="exact-lowrank", n=5, rank=2, delta=-0.1)
+    for delta in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(SpecInvalid):
+            SyntheticSpec(case="exact-lowrank", n=5, rank=2, delta=delta)
 
 
 def test_exact_lowrank_has_requested_tubal_rank():

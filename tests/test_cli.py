@@ -84,7 +84,8 @@ def test_adaptive_with_factors(tmp_path):
     assert code == 0
     data = read_json(out)
     f = TSVDFactors(u=load_tns(f"{prefix}.U.tns"), s=load_tns(f"{prefix}.S.tns"),
-                    v=load_tns(f"{prefix}.V.tns"), rank=data["estimated_rank"])
+                    v=load_tns(f"{prefix}.V.tns"))
+    assert f.rank == data["estimated_rank"]
     err = frobenius_norm(x - reconstruct(f)) / frobenius_norm(x)
     assert err <= 0.2 * (1 + 1e-6)
 
@@ -174,6 +175,16 @@ def test_invalid_adaptive_flag_exits_1(flag, value, tmp_path, capsys):
     out = tmp_path / "r.json"
     flags = {"--eps": "0.1", "--block": "2", "--power": "1", flag: value}
     code = run_cli("adaptive", "--in", tns, "--out", out, *sum(flags.items(), ()))
+    assert code == 1 and not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tubal: error:")
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
+def test_invalid_delta_exits_1(delta, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = run_cli("bench", "synthetic", "--case", "1", "--n", "8", "--rank", "2",
+                   "--delta", delta, "--eps", "0.1", "--rel", "--out", out)
     assert code == 1 and not out.exists()
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("tubal: error:")

@@ -1,13 +1,14 @@
 """Structural guards: what the benchmark traces exists, the exports are the README's
 list and hold no test reference, x is transformed once per run, the CLI job stays on
-the half spectrum, and the exact-lowrank generator transforms only the lateral slices
-it keeps."""
+the half spectrum, the exact-lowrank generator transforms only the lateral slices
+it keeps, and the core runs the one trim rule once per run that meets its bound."""
 
 import importlib
 import json
 import pkgutil
 import re
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -161,13 +162,18 @@ def test_cli_compress_forms_one_reconstruction(inverses, tmp_path, rand_tensor):
     assert inverses.count(x.size) == 1
 
 
+def _row_energies(qb):
+    """Squared norms of the horizontal slices of qb.b, in order."""
+    return (qb.b ** 2).sum(axis=(1, 2))
+
+
 def _trim_case(x, block_size, seed, keep):
     """A bound under which a run's first block trims to `keep` rows, its energy before it."""
     nx2 = frobenius_norm(x) ** 2
     # The first block does not depend on the bound; the rank cap stops the run after it.
     cfg = AdaptiveConfig(epsilon=1e-6 * np.sqrt(nx2), block_size=block_size,
                          max_rank=block_size, power_iters=0, seed=RngStream(seed))
-    rows = [frobenius_norm(r) ** 2 for r in adaptive_qb(x, cfg, trim=False).b]
+    rows = _row_energies(adaptive_qb(x, cfg, trim=False))
     return np.sqrt(nx2 - sum(rows[:keep]) + 0.5 * rows[keep - 1]), nx2
 
 
@@ -185,7 +191,9 @@ def test_spectral_trim_matches_trim_last_block(shape, block_size, seed, keep, ra
     assert untrimmed.achieved and untrimmed.rank == block_size
     trimmed = adaptive_qb(x, cfg)
     assert trimmed.rank == keep
-    assert trimmed.rank == trim_last_block(untrimmed, energy_before, eps).rank
+    kept, energy = trim_last_block(_row_energies(untrimmed), energy_before, eps ** 2)
+    assert trimmed.rank == kept and trimmed.q.shape[1] == kept
+    assert abs(trimmed.energy_trace[-1] - max(energy, 0.0)) <= 1e-12 * energy_before
 
 
 def test_spectral_trim_matches_trim_last_block_on_partial_block(rand_tensor):
@@ -193,12 +201,44 @@ def test_spectral_trim_matches_trim_last_block_on_partial_block(rand_tensor):
     x = rand_tensor(12, 10, 3, seed=66)
     untrimmed = adaptive_qb(x, AdaptiveConfig(epsilon=1e-9, block_size=4, power_iters=0,
                                               seed=RngStream(67)), trim=False)
-    rows = [frobenius_norm(untrimmed.b[j]) ** 2 for j in range(10)]
+    rows = _row_energies(untrimmed)
     energy_before = frobenius_norm(x) ** 2 - sum(rows[:8])
     eps = np.sqrt(energy_before - 0.5 * rows[8])
     cfg = AdaptiveConfig(epsilon=eps, block_size=4, power_iters=0, seed=RngStream(67))
     assert adaptive_qb(x, cfg).rank == 9
-    assert trim_last_block(untrimmed, energy_before, eps, block_size=4).rank == 9
+    assert trim_last_block(rows[8:], energy_before, eps ** 2)[0] == 9 - 8
+
+
+@pytest.fixture
+def trims(monkeypatch):
+    """Row counts of the blocks randomized.trim_last_block is called on."""
+    real = tubal.randomized.trim_last_block
+    calls = []
+
+    def counting(rows, *args):
+        calls.append(len(rows))
+        return real(rows, *args)
+
+    monkeypatch.setattr(tubal.randomized, "trim_last_block", counting)
+    return calls
+
+
+def test_only_a_met_bound_is_trimmed(trims, rand_tensor):
+    x = rand_tensor(30, 20, 6, seed=80)
+    cfg = AdaptiveConfig(epsilon=0.3 * frobenius_norm(x), block_size=4, power_iters=1,
+                         seed=RngStream(81))
+    qb = adaptive_qb(x, cfg)
+    assert qb.achieved and len(qb.energy_trace) > 1 and trims == [4]
+    untrimmed = adaptive_qb(x, cfg, trim=False)
+    assert untrimmed.achieved and untrimmed.rank > qb.rank
+    missed = adaptive_qb(x, replace(cfg, max_rank=4))
+    assert not missed.achieved
+    # ||x||_F < epsilon: rank 0, no block to trim.
+    assert adaptive_qb(x, replace(cfg, epsilon=2 * frobenius_norm(x))).rank == 0
+    # At the precision floor the bound is met on the explicit residual, untrimmed.
+    floor = adaptive_qb(x[:10, :10, :3], replace(cfg, epsilon=1e-12, block_size=7))
+    assert floor.achieved and floor.rank == 10
+    assert trims == [4]
 
 
 @pytest.mark.parametrize("i3", [1, 6, 7])

@@ -80,6 +80,10 @@ def test_randomized_tsvd_rank_validation(rand_tensor):
         randomized_tsvd(x, rank=5, oversample=2, power_iters=0, rng=RngStream(0))
     with pytest.raises(RankOutOfRange):
         randomized_tsvd(x, rank=0, oversample=2, power_iters=0, rng=RngStream(0))
+    with pytest.raises(RankOutOfRange):
+        randomized_tsvd(x, rank=3, oversample=-1, power_iters=0, rng=RngStream(0))
+    with pytest.raises(SpecInvalid):
+        randomized_tsvd(x, rank=3, oversample=2, power_iters=-3, rng=RngStream(0))
 
 
 # -------------------------------------------------------------- adaptive QB
@@ -239,16 +243,10 @@ def test_trim_partial_last_block(rand_tensor):
                          seed=RngStream(67))
     qb = adaptive_qb(x, cfg, trim=False)
     assert qb.rank == 10 and len(qb.energy_trace) == 3  # blocks of 4, 4 and 2
-    rows = [frobenius_norm(qb.b[j]) ** 2 for j in range(10)]
+    rows = _row_energies(qb)
     e_before = frobenius_norm(x) ** 2 - sum(rows[:8])
-    eps = np.sqrt(e_before - rows[8] - 0.5 * rows[9])
-    trimmed = trim_last_block(qb, e_before, eps, block_size=4)
-    assert trimmed.rank == 10
-    eps = np.sqrt(e_before - 0.5 * rows[8])
-    trimmed = trim_last_block(qb, e_before, eps, block_size=4)
-    assert trimmed.rank == 9 and trimmed.q.shape[1] == 9
-    with pytest.raises(ValueError):
-        trim_last_block(qb, e_before, eps)
+    assert trim_last_block(rows[8:], e_before, e_before - rows[8] - 0.5 * rows[9])[0] == 2
+    assert trim_last_block(rows[8:], e_before, e_before - 0.5 * rows[8])[0] == 1
 
 
 def test_adaptive_max_rank_validation(rand_tensor):
@@ -328,25 +326,26 @@ def _untrimmed_single_block(x, block_size, seed):
     return qb
 
 
+def _row_energies(qb):
+    """Squared norms of the horizontal slices of qb.b, in order."""
+    return (qb.b ** 2).sum(axis=(1, 2))
+
+
 def test_trim_stops_at_first_slice(rand_tensor):
     x = rand_tensor(12, 10, 3, seed=40)
-    qb = _untrimmed_single_block(x, block_size=5, seed=41)
+    rows = _row_energies(_untrimmed_single_block(x, block_size=5, seed=41))
     e_before = frobenius_norm(x) ** 2
-    row1 = frobenius_norm(qb.b[0]) ** 2
-    eps = np.sqrt(e_before - 0.5 * row1)
-    trimmed = trim_last_block(qb, e_before, eps)
-    assert trimmed.rank == 1
-    assert trimmed.q.shape[1] == 1 and trimmed.b.shape[0] == 1
+    kept, energy = trim_last_block(rows, e_before, e_before - 0.5 * rows[0])
+    assert kept == 1 and energy == e_before - rows[0]
 
 
 def test_trim_exhaustion_keeps_block(rand_tensor):
     x = rand_tensor(12, 10, 3, seed=42)
-    qb = _untrimmed_single_block(x, block_size=5, seed=43)
+    rows = _row_energies(_untrimmed_single_block(x, block_size=5, seed=43))
     e_before = frobenius_norm(x) ** 2
-    rows = [frobenius_norm(qb.b[j]) ** 2 for j in range(5)]
-    eps = np.sqrt(e_before - sum(rows) + 0.5 * rows[-1])
-    trimmed = trim_last_block(qb, e_before, eps)
-    assert trimmed.rank == 5
+    eps2 = e_before - sum(rows) + 0.5 * rows[-1]
+    kept, energy = trim_last_block(rows, e_before, eps2)
+    assert kept == 5 and energy < eps2
 
 
 def test_trim_matches_energy_semantics(rand_tensor):
@@ -405,6 +404,11 @@ def test_qb_to_tsvd_rank_validation(rand_tensor):
     qb = adaptive_qb(x, cfg)
     with pytest.raises(RankOutOfRange):
         qb_to_tsvd(qb, qb.rank + 1)
+    # ||x||_F < epsilon: the answer is rank 0, which has no factors.
+    qb = adaptive_qb(x, AdaptiveConfig(epsilon=2 * frobenius_norm(x), block_size=3))
+    assert qb.rank == 0
+    with pytest.raises(RankOutOfRange, match="rank 0, so there are no factors"):
+        qb_to_tsvd(qb, "all")
 
 
 def test_adaptive_does_not_mutate_input(rand_tensor):
