@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     RngStream,
     adjoint,
+    as_tensor3,
     frobenius_norm,
     gaussian_tensor,
     irfft_tubes,
@@ -243,6 +244,7 @@ def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False) -> RunRe
     """
     x = np.asarray(x, dtype=np.float64)
     nx = frobenius_norm(x)
+    as_tensor3(x, nx)
     eps_abs = cfg.epsilon * nx if rel else cfg.epsilon
     eps_rel = eps_abs / nx if nx > 0 else None
     run_cfg = replace(cfg, epsilon=eps_abs)

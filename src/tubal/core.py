@@ -16,11 +16,12 @@ does not export them; they stay public here because the benchmark's
 per-layer metrics in BENCHMARK.json name them.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NonFiniteData
+from .errors import DimMismatch, NonFiniteData, SpecInvalid
 
 # rfft_tubes copies numpy's rfft output into the stack layout in row blocks
 # whose spectrum takes at most this many bytes, bounding the transient.
@@ -31,18 +32,33 @@ RFFT_BLOCK_BYTES = 16 * 2**20
 RESIDUAL_BLOCK_BYTES = 4 * 2**20
 
 
-def as_tensor3(data) -> np.ndarray:
+def as_tensor3(data, norm: float | None = None) -> np.ndarray:
     """Validate and coerce ``data`` to a well-formed third-order tensor.
 
     Raises DimMismatch for wrong dimensionality and NonFiniteData if any
-    entry is NaN or Inf.
+    entry is NaN or Inf.  The loaders and every decomposition or run that
+    takes x call this.  One that has already taken norm = ||x||_F passes
+    it, and the entries are not scanned again: a NaN or Inf entry makes
+    the norm non-finite, so an x whose norm overflows float64 is refused
+    too.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 3:
         raise DimMismatch(f"expected a third-order tensor, got ndim={x.ndim}")
-    if not np.isfinite(x).all():
+    if norm is None and not np.isfinite(x).all():
         raise NonFiniteData("tensor contains NaN or Inf entries")
+    if norm is not None and not np.isfinite(norm):
+        raise NonFiniteData("tensor contains NaN or Inf entries, or its Frobenius norm "
+                            "overflows float64")
     return x
+
+
+def as_index(value, what: str, error: type = SpecInvalid) -> int:
+    """value as an int if operator.index accepts it (numpy integers do), else raise error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def rfft_tubes(x: np.ndarray) -> np.ndarray:

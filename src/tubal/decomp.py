@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import adjoint, irfft_tubes, rfft_tubes, row_energies
-from .errors import DegenerateInput, DimMismatch, RankOutOfRange
+from .core import adjoint, as_index, as_tensor3, irfft_tubes, rfft_tubes, row_energies
+from .errors import DegenerateInput, RankOutOfRange
 
 # Entries this small relative to the data's scale carry no direction
 # information worth orthonormalizing.
@@ -36,16 +36,9 @@ class TSVDFactors:
         return self.s.shape[0]
 
 
-def _check3(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise DimMismatch(f"{name} expects a third-order tensor")
-    return x
-
-
 def t_qr(x: np.ndarray):
     """Tubal QR: returns (q, r) with x = q * r and q of shape (I1, min(I1,I2), I3)."""
-    x = _check3(x, "t_qr")
+    x = as_tensor3(x)
     qh, rh = np.linalg.qr(rfft_tubes(x))
     return irfft_tubes(qh, x.shape[2]), irfft_tubes(rh, x.shape[2])
 
@@ -69,7 +62,7 @@ def orth(x: np.ndarray) -> np.ndarray:
     entry at most ZERO_INPUT_RTOL), since any basis returned for it would
     be arbitrary.
     """
-    x = _check3(x, "orth")
+    x = as_tensor3(x)
     return irfft_tubes(orth_spectral(rfft_tubes(x), x.shape[2]), x.shape[2])
 
 
@@ -93,9 +86,9 @@ def tsvd_factors(h: np.ndarray, rank: int, i3: int, lift=None) -> TSVDFactors:
 
 def truncated_tsvd(x: np.ndarray, rank: int) -> TSVDFactors:
     """Rank-R tubal SVD via per-slice truncated SVD in the frequency domain."""
-    x = _check3(x, "truncated_tsvd")
+    x = as_tensor3(x)
     i1, i2, i3 = x.shape
-    if not 1 <= rank <= min(i1, i2):
+    if not 1 <= as_index(rank, "rank", RankOutOfRange) <= min(i1, i2):
         raise RankOutOfRange(f"rank {rank} not in [1, {min(i1, i2)}] for dims {x.shape}")
     return tsvd_factors(rfft_tubes(x), rank, i3)
 
@@ -114,7 +107,7 @@ def tubal_rank(x: np.ndarray) -> int:
     Mirrored slices share singular values, so only the leading half is
     examined.
     """
-    x = _check3(x, "tubal_rank")
+    x = as_tensor3(x)
     if x.size == 0:
         return 0
     svals = np.linalg.svd(rfft_tubes(x), compute_uv=False)

@@ -6,6 +6,10 @@ rank from an error bound, and trim_last_block, the rule that trims the
 final block to the exact rank.  The package does not export
 trim_last_block; it is public so that the benchmark can trace it.
 
+Both take each new block from one block step, which projects every
+product with x off the basis found so far, so each power round multiplies
+by the residual x - Q*B as in randQB_EI (Yu, Gu & Li, SIMAX 2018).
+
 The adaptive algorithm does not form the residual tensor.  It tracks the
 squared residual through the recursion E <- E - ||B_i||_F^2, which is
 exact because each block satisfies B_i = transpose(Q_i) * x with Q_i
@@ -23,6 +27,8 @@ import numpy as np
 from .core import (
     RngStream,
     adjoint,
+    as_index,
+    as_tensor3,
     frobenius_norm,
     gaussian_tensor,
     irfft_tubes,
@@ -45,9 +51,9 @@ class AdaptiveConfig:
     epsilon is an absolute bound on the Frobenius norm of the residual
     (callers wanting a relative bound multiply by ||x||_F once up front);
     block_size columns are added per iteration; power_iters subspace
-    rounds sharpen each block; max_rank caps the search (None means
-    min(I1, I2) of the tensor being factored).  A value out of range,
-    NaN included, raises SpecInvalid.
+    rounds, each multiplying by the residual x - q*b, sharpen each block;
+    max_rank caps the search (None means min(I1, I2) of the tensor being
+    factored).  A NaN, out-of-range or non-integer value raises SpecInvalid.
     """
 
     epsilon: float
@@ -59,11 +65,11 @@ class AdaptiveConfig:
     def __post_init__(self):
         if not self.epsilon >= 0:
             raise SpecInvalid(f"epsilon must be nonnegative, got {self.epsilon}")
-        if self.block_size < 1:
+        if as_index(self.block_size, "block_size") < 1:
             raise SpecInvalid(f"block_size must be >= 1, got {self.block_size}")
-        if self.power_iters < 0:
+        if as_index(self.power_iters, "power_iters") < 0:
             raise SpecInvalid(f"power_iters must be >= 0, got {self.power_iters}")
-        if self.max_rank is not None and self.max_rank < 1:
+        if self.max_rank is not None and as_index(self.max_rank, "max_rank") < 1:
             raise SpecInvalid(f"max_rank must be >= 1, got {self.max_rank}")
 
 
@@ -103,22 +109,26 @@ class QBApprox:
         return self.b.shape[0]
 
 
-def _power_iterate(xh: np.ndarray, q: np.ndarray, i3: int, scale: float,
-                   rounds: int, deflate=None) -> np.ndarray:
-    """Subspace iteration on the spectral basis q; x^H q is (q^H x)^H, so x is not copied.
+def _next_block(xh: np.ndarray, qh: np.ndarray, p: np.ndarray, i3: int, scale: float,
+                rounds: int, passes: int) -> np.ndarray:
+    """The block step: an orthonormal block from the sketch p = xh @ omega, orthogonal to qh.
 
-    With deflate, a pair (qh, bh), it iterates on the residual x - qh @ bh
-    instead of on x.
+    Each product with x is projected off qh in place and orthonormalized,
+    testing degeneracy against scale, the root-mean-square entry of x: p,
+    then per round x^H q (q is orthogonal to qh already) and x q, so every
+    product multiplies by the residual.  The normalized block is then
+    projected and orthonormalized passes more times, as the precision
+    floor needs ("twice is enough").  An empty qh costs no work.
     """
-    for _ in range(rounds):
-        p = adjoint(q) @ xh
-        if deflate is not None:
-            p -= (adjoint(q) @ deflate[0]) @ deflate[1]
-        q = orth_spectral(adjoint(p), i3, scale)
-        p = xh @ q
-        if deflate is not None:
-            p -= deflate[0] @ (deflate[1] @ q)
+    for r in range(rounds + 1):
+        if r:
+            # x^H q is (q^H x)^H, so x is not copied.
+            p = xh @ orth_spectral(adjoint(adjoint(q) @ xh), i3, scale)
+        if qh.shape[2]:
+            p -= qh @ (adjoint(qh) @ p)
         q = orth_spectral(p, i3, scale)
+        for _ in range(passes):
+            q = orth_spectral(q - qh @ (adjoint(qh) @ q), i3)
     return q
 
 
@@ -133,19 +143,20 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     Everything runs on the half spectrum of x, transformed once.
     """
     x = np.asarray(x, dtype=np.float64)
-    i1, i2, i3 = x.shape
+    norm = frobenius_norm(x)
+    i1, i2, i3 = as_tensor3(x, norm).shape
+    rank = as_index(rank, "rank", RankOutOfRange)
+    oversample = as_index(oversample, "oversample", RankOutOfRange)
     if rank < 1 or oversample < 0 or rank + oversample > min(i1, i2):
-        raise RankOutOfRange(
-            f"need 1 <= rank, 0 <= oversample and rank + oversample <= {min(i1, i2)}, "
-            f"got rank={rank}, oversample={oversample}"
-        )
-    if power_iters < 0:
+        raise RankOutOfRange(f"need 1 <= rank, 0 <= oversample and rank + oversample <= "
+                             f"{min(i1, i2)}, got rank={rank}, oversample={oversample}")
+    if as_index(power_iters, "power_iters") < 0:
         raise SpecInvalid(f"power_iters must be >= 0, got {power_iters}")
     omega = rfft_tubes(gaussian_tensor(i2, rank + oversample, i3, rng))
     xh = rfft_tubes(x)
-    # The degeneracy test is relative to the root-mean-square entry of x.
-    scale = frobenius_norm(x) / np.sqrt(max(x.size, 1))
-    q = _power_iterate(xh, orth_spectral(xh @ omega, i3, scale), i3, scale, power_iters)
+    scale = norm / np.sqrt(max(x.size, 1))
+    q = _next_block(xh, np.empty((xh.shape[0], i1, 0), dtype=np.complex128), xh @ omega,
+                    i3, scale, power_iters, 0)
     return tsvd_factors(adjoint(q) @ xh, rank, i3, lift=q)
 
 
@@ -153,31 +164,30 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
     """Grow a QB factorization block by block until ||x - q*b||_F < epsilon.
 
     The bound is tested before every block, so an x with ||x||_F < epsilon
-    gets rank 0.  Each iteration sketches block_size new directions (fewer
-    for a last block that reaches the rank cap) against the part of x not
-    yet captured, orthonormalizes them against the accumulated basis, and
-    updates the residual energy by the recursion instead of forming the
-    residual.  On success the final block is trimmed slice by slice to
-    the smallest rank still meeting the bound (disable with trim=False to
-    keep whole blocks, e.g. when inspecting the trace).  x is transformed
-    once; q and b grow on its half spectrum, are trimmed there and are
-    transformed back once.
+    gets rank 0.  Each block of block_size directions (fewer for a last
+    block that reaches the rank cap) comes from the block step on the part
+    of x not yet captured, and the residual energy is updated by the
+    recursion instead of forming the residual.  On success the final block
+    is trimmed slice by slice to the smallest rank still meeting the bound
+    (trim=False keeps whole blocks, e.g. to inspect the trace).  x is
+    transformed once; q and b grow, and are trimmed, on its half spectrum.
 
     If the rank cap is reached first, the best factorization found is
-    returned with achieved=False.  A degenerate (numerically zero relative
-    to x) sketch means x is already fully captured, yet the bound was not
-    met before it; the current factors are returned with achieved=False.
+    returned with achieved=False, as it is when a sketch is degenerate
+    (numerically zero relative to x): x is then fully captured, yet the
+    bound was not met.
 
     At the precision floor (epsilon^2 at most PRECISION_FLOOR_ULPS ulps of
-    ||x||_F^2) the energy after each block is the explicitly computed
-    squared residual ||x - q*b||_F^2, by Parseval on the spectrum, the
-    power step multiplies by that residual instead of by x, and the final
-    block is not trimmed.
+    ||x||_F^2) the energy after each block is the squared residual
+    ||x - q*b||_F^2, computed by Parseval on the spectrum, each new block
+    is re-orthonormalized against q twice more, and the final block is not
+    trimmed.
     """
     x = np.asarray(x, dtype=np.float64)
+    norm = frobenius_norm(x)
+    i3 = as_tensor3(x, norm).shape[2]
     xh = rfft_tubes(x)
-    i3 = x.shape[2]
-    qh, bh, trace, achieved = adaptive_spectral(xh, i3, frobenius_norm(x), cfg, trim)
+    qh, bh, trace, achieved = adaptive_spectral(xh, i3, norm, cfg, trim)
     # xh is held until q and b are inverted, so they are not placed in the
     # memory xh frees: a caller's later x-sized temporaries (x - q*b) reuse
     # it instead of growing the heap and page-faulting on every product.
@@ -193,14 +203,12 @@ def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
     left on the half spectrum; qh and bh may be views of larger stacks.
     """
     i1, i2 = xh.shape[1:]
-    b_size = cfg.block_size
     max_rank = min(i1, i2) if cfg.max_rank is None else cfg.max_rank
     if max_rank > min(i1, i2):
         raise RankOutOfRange(f"max_rank {max_rank} exceeds min(I1, I2) = {min(i1, i2)}")
     gen = cfg.seed.generator()
     eps2 = cfg.epsilon ** 2
 
-    # The degeneracy test is relative to the root-mean-square entry of x.
     scale = norm / np.sqrt(max(i1 * i2 * i3, 1))
     qh = np.zeros((xh.shape[0], i1, 0), dtype=np.complex128)
     bh = np.zeros((xh.shape[0], 0, i2), dtype=np.complex128)
@@ -210,18 +218,10 @@ def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
 
     while not (achieved := energy < eps2) and bh.shape[1] < max_rank:
         rank = bh.shape[1]
-        omega = rfft_tubes(gaussian_tensor(i2, min(b_size, max_rank - rank), i3, gen))
+        omega = rfft_tubes(gaussian_tensor(i2, min(cfg.block_size, max_rank - rank), i3, gen))
         try:
-            sketch = xh @ omega
-            if rank:
-                sketch -= qh @ (bh @ omega)
-            q_i = _power_iterate(xh, orth_spectral(sketch, i3, scale), i3, scale,
-                                 cfg.power_iters, (qh, bh) if floor and rank else None)
-            if rank:
-                # At the precision floor q_i lies almost wholly in the span of
-                # qh, and a second pass keeps q orthonormal ("twice is enough").
-                for _ in range(2 if floor else 1):
-                    q_i = orth_spectral(q_i - qh @ adjoint(adjoint(q_i) @ qh), i3)
+            q_i = _next_block(xh, qh, xh @ omega, i3, scale, cfg.power_iters,
+                              2 if floor and rank else 0)
         except DegenerateInput:
             break
         b_i = adjoint(q_i) @ xh
@@ -248,12 +248,11 @@ def trim_last_block(rows: np.ndarray, energy_before_last: float, eps2: float):
     """How many rows of a successful run's final block meet the bound: the trim rule.
 
     rows are the squared norms of the block's horizontal slices, in order,
-    and energy_before_last the squared residual before the block; the
-    whole block meets the bound.  Returns (kept, energy): the fewest
-    leading rows whose norms, subtracted from energy_before_last, bring it
-    below eps2, and the energy they leave.  The matching lateral slices of
-    q can be dropped without recomputation, because the energy recursion
-    never involves q.
+    and energy_before_last the squared residual before the whole block,
+    which meets the bound.  Returns (kept, energy): the fewest leading rows
+    whose norms, subtracted from energy_before_last, bring it below eps2,
+    and the energy they leave.  q needs no recomputation: the recursion
+    never involves it.
     """
     energy, kept = energy_before_last, 0
     for kept, row in enumerate(rows, start=1):

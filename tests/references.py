@@ -101,9 +101,8 @@ def blocked_randqb_matrix(a: np.ndarray, epsilon: float, block_size: int,
     Returns (q, b, rank).  Unlike the tensor algorithm this keeps the
     residual x explicitly, deflates it after every block, and stops when
     ||x||_F <= epsilon; the tensor algorithm must agree with it at I3 = 1.
-    Power iterations here multiply by the current residual, which matches
-    the original-matrix variant exactly for power_iters <= 1 once blocks
-    are orthogonalized against the accumulated basis.
+    Power iterations here multiply by the current residual, as the tensor
+    algorithm's block step does, so the two agree at every power_iters.
     """
     a = np.asarray(a, dtype=np.float64)
     m, n = a.shape

@@ -72,6 +72,16 @@ def test_bench_hilbert(tmp_path):
     assert data["dims"] == [40, 40, 40]
 
 
+def test_bench_hilbert_power_2_meets_its_bound(tmp_path):
+    # With power rounds on x itself, not on the residual, this job exited 0
+    # with a relative error of 4.91e-6.
+    out = tmp_path / "h.json"
+    code = run_cli("bench", "hilbert", "--kind", "1", "--n", "80", "--eps", "1e-6",
+                   "--rel", "--block", "5", "--power", "2", "--seed", "5", "--out", out)
+    assert code == 0
+    assert read_json(out)["relative_error"] <= 1e-6
+
+
 def test_adaptive_with_factors(tmp_path):
     x = gaussian_tensor(16, 12, 4, RngStream(5))
     tns = tmp_path / "x.tns"

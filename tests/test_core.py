@@ -5,14 +5,22 @@ from numpy.testing import assert_allclose
 
 import tubal.core
 from tubal import (
+    AdaptiveConfig,
     DimMismatch,
+    NonFiniteData,
     RngStream,
+    adaptive_qb,
     frobenius_norm,
     gaussian_tensor,
     identity_tensor,
     orth,
+    randomized_tsvd,
+    run_adaptive,
+    t_qr,
     tprod,
     transpose,
+    truncated_tsvd,
+    tubal_rank,
 )
 from tubal.core import concat_mode1, concat_mode2, irfft_tubes, residual_energy, rfft_tubes
 from conftest import naive_dft_tubes
@@ -276,3 +284,46 @@ def test_residual_energy_accepts_views(rand_tensor):
     bh = np.swapaxes(qh, 1, 2).conj() @ xh
     want = frobenius_norm(x - irfft_tubes(qh[:, :, :3] @ bh[:, :3], 5)) ** 2
     assert residual_energy(xh, qh[:, :, :3], bh[:, :3], 5) == pytest.approx(want, rel=1e-13)
+
+
+# ------------------------------------------- input validation at the entries
+
+def _config():
+    return AdaptiveConfig(epsilon=1e-3, block_size=3, power_iters=1, seed=RngStream(1))
+
+
+ENTRIES = {
+    "adaptive_qb": lambda x: adaptive_qb(x, _config()),
+    "run_adaptive": lambda x: run_adaptive(x, _config(), rel=True),
+    "randomized_tsvd": lambda x: randomized_tsvd(x, 3, 2, 1, RngStream(1)),
+    "truncated_tsvd": lambda x: truncated_tsvd(x, 3),
+    "tubal_rank": tubal_rank,
+    "t_qr": t_qr,
+    "orth": orth,
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_entries_refuse_non_finite_data(entry, bad):
+    # Unchecked, a NaN or Inf entry ran adaptive_qb to the rank cap, made
+    # tubal_rank return 0 and surfaced elsewhere as numpy's LinAlgError.
+    x = gaussian_tensor(20, 15, 7, RngStream(1))
+    x[3, 4, 2] = bad
+    with pytest.raises(NonFiniteData):
+        ENTRIES[entry](x)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_entries_refuse_non_3d_data(entry):
+    with pytest.raises(DimMismatch):
+        ENTRIES[entry](gaussian_tensor(20, 15, 1, RngStream(1))[:, :, 0])
+
+
+# numpy warns as the sum of squares overflows; the entry then refuses x.
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.parametrize("entry", ["adaptive_qb", "run_adaptive", "randomized_tsvd"])
+def test_entries_taking_the_norm_refuse_its_overflow(entry):
+    x = gaussian_tensor(20, 15, 7, RngStream(1)) * 1e160
+    with pytest.raises(NonFiniteData, match="overflows float64"):
+        ENTRIES[entry](x)

@@ -160,6 +160,9 @@ def test_tsvd_rank_out_of_range(rand_tensor):
         truncated_tsvd(x, 0)
     with pytest.raises(RankOutOfRange):
         truncated_tsvd(x, 5)
+    with pytest.raises(RankOutOfRange, match="rank must be an integer"):
+        truncated_tsvd(x, 3.0)
+    assert truncated_tsvd(x, np.int64(3)).rank == 3
 
 
 def test_tsvd_agrees_with_full_loop_reference(rand_tensor):

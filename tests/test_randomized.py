@@ -84,6 +84,15 @@ def test_randomized_tsvd_rank_validation(rand_tensor):
         randomized_tsvd(x, rank=3, oversample=-1, power_iters=0, rng=RngStream(0))
     with pytest.raises(SpecInvalid):
         randomized_tsvd(x, rank=3, oversample=2, power_iters=-3, rng=RngStream(0))
+    with pytest.raises(RankOutOfRange, match="rank must be an integer"):
+        randomized_tsvd(x, rank=3.5, oversample=2, power_iters=1, rng=RngStream(0))
+    with pytest.raises(RankOutOfRange, match="oversample must be an integer"):
+        randomized_tsvd(x, rank=3, oversample=2.0, power_iters=1, rng=RngStream(0))
+    with pytest.raises(SpecInvalid, match="power_iters must be an integer"):
+        randomized_tsvd(x, rank=3, oversample=2, power_iters=1.5, rng=RngStream(0))
+    f = randomized_tsvd(x, rank=np.int64(3), oversample=np.int64(2), power_iters=np.int64(1),
+                        rng=RngStream(0))
+    assert f.rank == 3
 
 
 # -------------------------------------------------------------- adaptive QB
@@ -292,6 +301,33 @@ def test_precision_floor_power_step_deflates():
     assert qb_error(x, qb) <= cfg.epsilon
 
 
+@pytest.mark.parametrize("eps_rel", [1e-12, 1e-13, 1e-14, 1e-15])
+def test_precision_floor_reprojects_the_normalized_block(eps_rel):
+    # Projecting a product off q twice before its one orthonormalization
+    # leaves the new block in span(q), and that order ran to the rank cap
+    # (80) here; the normalized block must be projected again instead.
+    x = hilbert_tensor(1, 80)
+    cfg = AdaptiveConfig(epsilon=eps_rel * frobenius_norm(x), block_size=5, power_iters=0,
+                         seed=RngStream(5))
+    qb = adaptive_qb(x, cfg)
+    assert qb.achieved
+    assert qb_error(x, qb) <= cfg.epsilon
+
+
+@pytest.mark.parametrize("power_iters,eps_rel", [(2, 1e-6), (3, 1e-5), (3, 1e-6)])
+def test_power_rounds_keep_the_contract(power_iters, eps_rel):
+    # Power rounds on x itself, not on the residual, pulled later blocks
+    # back into span(q), so the energy recursion overcounted and all 30
+    # runs claimed success at up to 7.5e5 times the bound.
+    x = hilbert_tensor(1, 60)
+    for seed in range(10):
+        cfg = AdaptiveConfig(epsilon=eps_rel * frobenius_norm(x), block_size=5,
+                             power_iters=power_iters, seed=RngStream(seed))
+        qb = adaptive_qb(x, cfg)
+        if qb.achieved:
+            assert qb_error(x, qb) <= cfg.epsilon, f"seed {seed}"
+
+
 def test_precision_floor_at_rank_cap_certifies_met_bound():
     # At the rank cap the recursion once ended at +1.2e-13 > eps^2 and
     # reported failure while the residual was 1.2e-14 < eps.
@@ -313,6 +349,14 @@ def test_config_validation():
         AdaptiveConfig(epsilon=1.0, block_size=2, power_iters=-1)
     with pytest.raises(SpecInvalid):
         AdaptiveConfig(epsilon=float("nan"), block_size=2)
+    with pytest.raises(SpecInvalid, match="block_size must be an integer"):
+        AdaptiveConfig(epsilon=1.0, block_size=2.5)
+    with pytest.raises(SpecInvalid, match="power_iters must be an integer"):
+        AdaptiveConfig(epsilon=1.0, block_size=2, power_iters=1.5)
+    with pytest.raises(SpecInvalid, match="max_rank must be an integer"):
+        AdaptiveConfig(epsilon=1.0, block_size=2, max_rank=3.0)
+    AdaptiveConfig(epsilon=1.0, block_size=np.int64(2), power_iters=np.int32(1),
+                   max_rank=np.int64(3))
 
 
 # ------------------------------------------------------------------ trimming
@@ -465,3 +509,25 @@ def test_adaptive_agrees_with_matrix_reference(power_iters):
     assert qb.rank == rank
     assert abs(err_tensor - err_matrix) <= 1e-8
     assert abs(np.sqrt(max(qb.energy_trace[-1], 0.0)) - err_matrix) <= 1e-8
+
+
+@pytest.mark.parametrize("power_iters", [0, 1, 2, 3])
+def test_adaptive_equals_randqb_ei_at_every_power(power_iters):
+    # Criterion 5's matrix.  Power rounds on x itself matched the reference,
+    # which multiplies by the residual, only for power_iters <= 1: the gap
+    # was 2e-10 at power 2 and 1e-3 at power 3.
+    gen = RngStream(505).generator()
+    u = np.linalg.qr(gen.standard_normal((200, 150)))[0]
+    v = np.linalg.qr(gen.standard_normal((150, 150)))[0]
+    a = (u * 0.8 ** np.arange(150)) @ v.T
+    eps = 1e-3 * np.linalg.norm(a)
+    q, b, rank = blocked_randqb_matrix(a, eps, block_size=10, power_iters=power_iters,
+                                       rng=RngStream(506))
+    err_matrix = np.linalg.norm(a - q @ b)
+
+    x = a[:, :, None].copy()
+    cfg = AdaptiveConfig(epsilon=eps, block_size=10, power_iters=power_iters,
+                         seed=RngStream(506))
+    qb = adaptive_qb(x, cfg, trim=False)
+    assert qb.rank == rank
+    assert abs(qb_error(x, qb) - err_matrix) <= 1e-8
