@@ -122,8 +122,9 @@ def _next_block(xh: np.ndarray, qh: np.ndarray, p: np.ndarray, i3: int, scale: f
     """
     for r in range(rounds + 1):
         if r:
-            # x^H q is (q^H x)^H, so x is not copied.
-            p = xh @ orth_spectral(adjoint(adjoint(q) @ xh), i3, scale)
+            # x^H q is (q^H x)^H, so x is not copied.  x q goes into p's buffer:
+            # a fresh stack per round lets glibc trim the heap later calls refault.
+            np.matmul(xh, orth_spectral(adjoint(adjoint(q) @ xh), i3, scale), out=p)
         if qh.shape[2]:
             p -= qh @ (adjoint(qh) @ p)
         q = orth_spectral(p, i3, scale)
@@ -155,8 +156,7 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     omega = rfft_tubes(gaussian_tensor(i2, rank + oversample, i3, rng))
     xh = rfft_tubes(x)
     scale = norm / np.sqrt(max(x.size, 1))
-    q = _next_block(xh, np.empty((xh.shape[0], i1, 0), dtype=np.complex128), xh @ omega,
-                    i3, scale, power_iters, 0)
+    q = _next_block(xh, xh[:, :, :0], xh @ omega, i3, scale, power_iters, 0)
     return tsvd_factors(adjoint(q) @ xh, rank, i3, lift=q)
 
 
