@@ -5,9 +5,9 @@ rank-R tensor with Gaussian singular tubes, plateau-plus-polynomial and
 plateau-plus-exponential singular value decay, and two Hilbert-type
 tensors defined entrywise.  Runs wrap the library operations with a
 monotonic wall clock and always recompute the reported relative error
-from the factors, never from the energy recursion: an adaptive run
-measures the residual on the half spectrum, the others on the
-reconstruction.
+from the factors, never from the energy recursion.  Every run measures it
+by one rule: the residual of a spectral pair, ||xh - l @ r|| on the half
+spectrum by residual_energy, over ||x||_F.
 """
 
 import csv
@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     RngStream,
     adjoint,
+    as_index,
     as_tensor3,
     frobenius_norm,
     gaussian_tensor,
@@ -29,7 +30,7 @@ from .core import (
     residual_energy,
     rfft_tubes,
 )
-from .decomp import reconstruct, truncated_tsvd
+from .decomp import truncated_tsvd
 from .errors import SpecInvalid
 from .randomized import AdaptiveConfig, adaptive_spectral, randomized_tsvd
 
@@ -42,7 +43,8 @@ class SyntheticSpec:
 
     ``rank`` is the plateau width R of the singular profile and ``delta``
     the norm of the additive Gaussian noise; both are ignored by the
-    Hilbert cases, which are deterministic.
+    Hilbert cases, which are deterministic.  A non-integer n or rank
+    raises SpecInvalid.
     """
 
     case: str
@@ -54,7 +56,7 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.case not in SYNTHETIC_CASES:
             raise SpecInvalid(f"unknown case {self.case!r}, expected one of {SYNTHETIC_CASES}")
-        if not self.n >= self.rank >= 1:
+        if not as_index(self.n, "n") >= as_index(self.rank, "rank") >= 1:
             raise SpecInvalid(f"need n >= rank >= 1, got n={self.n}, rank={self.rank}")
         if not 0 <= self.delta < np.inf:
             raise SpecInvalid(f"delta must be finite and nonnegative, got {self.delta}")
@@ -208,10 +210,16 @@ def append_csv(report: RunReport, path) -> None:
         w.writerow(row)
 
 
-def _relative_error(x: np.ndarray, approx: np.ndarray) -> float:
-    nx = frobenius_norm(x)
-    err = frobenius_norm(x - approx)
+def _spectral_error(xh: np.ndarray, nx: float, left, right, i3: int) -> float:
+    """||xh - left @ right|| / nx, where xh is the half spectrum of x and nx = ||x||_F."""
+    err = math.sqrt(residual_energy(xh, left, right, i3))
     return err / nx if nx > 0 else err
+
+
+def _tsvd_error(x: np.ndarray, f) -> float:
+    """_spectral_error of TSVDFactors f of x, for the pair (u * s, transpose(v))."""
+    return _spectral_error(rfft_tubes(x), frobenius_norm(x), rfft_tubes(f.u) @ rfft_tubes(f.s),
+                           adjoint(rfft_tubes(f.v)), x.shape[2])
 
 
 def _timed_report(x: np.ndarray, method: str, solve, error, epsilon=None,
@@ -256,11 +264,8 @@ def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False) -> RunRe
         xh = rfft_tubes(x)
         return adaptive_spectral(xh, i3, nx, run_cfg)
 
-    def error(qb):
-        err = math.sqrt(residual_energy(xh, qb.qh, qb.bh, i3))
-        return err / nx if nx > 0 else err
-
-    return _timed_report(x, "adaptive", solve, error,
+    return _timed_report(x, "adaptive", solve,
+                         lambda qb: _spectral_error(xh, nx, qb.qh, qb.bh, i3),
                          epsilon={"absolute": eps_abs, "relative": eps_rel},
                          block_size=cfg.block_size, power_iters=cfg.power_iters,
                          seed=cfg.seed.seed)
@@ -270,7 +275,7 @@ def run_tsvd(x: np.ndarray, rank: int) -> RunReport:
     """Run the deterministic truncated tubal SVD at a fixed rank and report it."""
     x = np.asarray(x, dtype=np.float64)
     return _timed_report(x, "tsvd", lambda: truncated_tsvd(x, rank),
-                         lambda f: _relative_error(x, reconstruct(f)))
+                         lambda f: _tsvd_error(x, f))
 
 
 def run_randomized(x: np.ndarray, rank: int, oversample: int, power_iters: int,
@@ -279,5 +284,5 @@ def run_randomized(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     x = np.asarray(x, dtype=np.float64)
     return _timed_report(x, "randomized",
                          lambda: randomized_tsvd(x, rank, oversample, power_iters, seed),
-                         lambda f: _relative_error(x, reconstruct(f)),
+                         lambda f: _tsvd_error(x, f),
                          power_iters=power_iters, seed=seed.seed)

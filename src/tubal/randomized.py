@@ -37,7 +37,7 @@ from .core import (
     row_energies,
 )
 from .decomp import TSVDFactors, orth_spectral, tsvd_factors
-from .errors import DegenerateInput, RankOutOfRange, SpecInvalid
+from .errors import DegenerateInput, NonFiniteData, RankOutOfRange, SpecInvalid
 
 # Below epsilon^2 = PRECISION_FLOOR_ULPS * ulp(1) * ||x||_F^2 the energy
 # recursion cannot certify the bound, so the residual is computed explicitly.
@@ -201,7 +201,10 @@ def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
 
     i3 is I3 and norm is ||x||_F; x itself is not needed.  The result is
     left on the half spectrum; qh and bh may be views of larger stacks.
+    A non-finite norm raises NonFiniteData, as as_tensor3(x, norm) does.
     """
+    if not np.isfinite(norm):
+        raise NonFiniteData(f"norm must be finite, got {norm}")
     i1, i2 = xh.shape[1:]
     max_rank = min(i1, i2) if cfg.max_rank is None else cfg.max_rank
     if max_rank > min(i1, i2):
@@ -267,7 +270,7 @@ def qb_to_tsvd(qb: QBApprox, rank="all") -> TSVDFactors:
     if qb.rank == 0:
         raise RankOutOfRange("qb has rank 0, so there are no factors: ||x||_F was "
                              "already below epsilon, or x is numerically zero")
-    r = qb.rank if rank == "all" else int(rank)
+    r = qb.rank if rank == "all" else as_index(rank, "rank", RankOutOfRange)
     if not 1 <= r <= qb.rank:
         raise RankOutOfRange(f"rank {rank} not in [1, {qb.rank}]")
     return tsvd_factors(rfft_tubes(qb.b), r, qb.b.shape[2], lift=rfft_tubes(qb.q))

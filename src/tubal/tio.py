@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_tensor3
+from .core import as_index, as_tensor3
 from .errors import (
     BadHeader,
     BadMagic,
@@ -69,7 +69,7 @@ def load_tns(path) -> np.ndarray:
 def reshape3(x: np.ndarray, new_dims) -> np.ndarray:
     """Relabel indices to new dimensions, preserving linear-offset order."""
     x = np.asarray(x, dtype=np.float64)
-    j1, j2, j3 = (int(d) for d in new_dims)
+    j1, j2, j3 = (as_index(d, "dimension", DimMismatch) for d in new_dims)
     if min(j1, j2, j3) < 1 or j1 * j2 * j3 != x.size:
         raise DimMismatch(f"cannot reshape {x.shape} to {(j1, j2, j3)}")
     return np.reshape(x, (j1, j2, j3), order="F")
@@ -165,13 +165,19 @@ def load_pgm_stack(source) -> np.ndarray:
 
 
 def save_pgm_stack(dir_path, x: np.ndarray, names=None) -> None:
-    """Write frontal slices of a tensor as numbered (or given) PGM files."""
+    """Write frontal slices of a tensor as numbered (or given) PGM files.
+
+    names, if given, holds one file name per frontal slice; any other
+    length raises DimMismatch before a file is written.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise DimMismatch("expected a third-order tensor of images")
-    os.makedirs(dir_path, exist_ok=True)
     count = x.shape[2]
     if names is None:
         names = [f"slice{k:04d}.pgm" for k in range(count)]
+    if len(names) != count:
+        raise DimMismatch(f"{len(names)} names for {count} frontal slices")
+    os.makedirs(dir_path, exist_ok=True)
     for k in range(count):
         save_pgm(Path(dir_path) / names[k], x[:, :, k])

@@ -10,13 +10,7 @@ there is no special case.
 
 import numpy as np
 
-from .core import (
-    frobenius_norm,
-    identity_tensor,
-    irfft_tubes,
-    rfft_tubes,
-    transpose,
-)
+from .core import adjoint, irfft_tubes, rfft_tubes, row_energies
 from .errors import DimMismatch
 
 
@@ -42,9 +36,11 @@ def is_orthogonal(q: np.ndarray, tol: float) -> bool:
 
     For q of shape (I1, R, I3) with R < I1 this is the one-sided check that
     the Q factor of a tubal QR satisfies; the two-sided definition of an
-    orthogonal tensor applies only when R = I1.
+    orthogonal tensor applies only when R = I1.  The norm is taken on the
+    half spectrum, where the identity is eye(R) in every slice.
     """
     q = np.asarray(q, dtype=np.float64)
     r, i3 = q.shape[1], q.shape[2]
-    gram = tprod(transpose(q), q) - identity_tensor(r, i3)
-    return frobenius_norm(gram) <= tol * np.sqrt(r * i3)
+    qh = rfft_tubes(q)
+    gram = adjoint(qh) @ qh - np.eye(r)
+    return np.sqrt(row_energies(gram, i3).sum()) <= tol * np.sqrt(r * i3)

@@ -14,6 +14,7 @@ from tubal import (
     gen_synthetic,
     hilbert_tensor,
     orth,
+    reconstruct,
     run_adaptive,
     run_randomized,
     run_tsvd,
@@ -34,6 +35,10 @@ def test_spec_validation():
         SyntheticSpec(case="nope", n=10)
     with pytest.raises(SpecInvalid):
         SyntheticSpec(case="exact-lowrank", n=5, rank=6)
+    for case, n, rank in (("hilbert-1", 7.5, 1), ("exact-lowrank", 12.5, 2),
+                          ("poly-decay", 12, 2.5)):
+        with pytest.raises(SpecInvalid, match="must be an integer"):
+            SyntheticSpec(case=case, n=n, rank=rank)
     for delta in (-0.1, float("nan"), float("inf")):
         with pytest.raises(SpecInvalid):
             SyntheticSpec(case="exact-lowrank", n=5, rank=2, delta=delta)
@@ -170,6 +175,17 @@ def test_run_randomized_report(rand_tensor):
     assert rep.estimated_rank == 5
     assert rep.relative_error >= 0.0
     assert rep.seed == 17
+
+
+@pytest.mark.parametrize("i3", [6, 7])
+def test_factor_run_errors_match_the_reconstruction(i3, rand_tensor):
+    # run_tsvd and run_randomized measure the residual of (u s, transpose(v))
+    # on the half spectrum; it is the time-domain error of the reconstruction.
+    x = rand_tensor(14, 11, i3, seed=19)
+    nx = frobenius_norm(x)
+    for rep in (run_tsvd(x, 4), run_randomized(x, 4, 2, 1, RngStream(20))):
+        want = frobenius_norm(x - reconstruct(rep.result)) / nx
+        assert rep.relative_error == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_hilbert_run_meets_tight_tolerance():

@@ -1,7 +1,8 @@
 """Structural guards: what the benchmark traces exists, the exports are the README's
-list and hold no test reference, x is transformed once per run, the CLI job stays on
-the half spectrum, the exact-lowrank generator transforms only the lateral slices
-it keeps, and the core runs the one trim rule once per run that meets its bound."""
+list and hold no test reference, the README's quick start runs, x is transformed once
+per run, the CLI job stays on the half spectrum, the exact-lowrank generator transforms
+only the lateral slices it keeps, and the core runs the one trim rule once per run that
+meets its bound."""
 
 import importlib
 import json
@@ -58,6 +59,14 @@ def test_readme_public_api_matches_exports():
     section = README.read_text().split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
     # Dotted names (`core.rfft_tubes`) are module members, not exports.
     assert set(re.findall(r"`([A-Za-z_]\w*)`", section)) == set(tubal.__all__)
+
+
+def test_readme_quick_start_runs(capsys):
+    section = README.read_text().split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README quick start", "exec"), {})
+    rank, achieved = capsys.readouterr().out.split()[:2]
+    assert int(rank) > 0 and achieved == "True"
 
 
 def test_test_references_stay_out_of_the_package():

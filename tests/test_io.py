@@ -166,6 +166,8 @@ def test_reshape3_size_mismatch(rand_tensor):
         reshape3(rand_tensor(4, 3, 2, seed=5), (4, 3, 3))
     with pytest.raises(DimMismatch):
         reshape3(rand_tensor(4, 3, 2, seed=5), (-4, -3, 2))
+    with pytest.raises(DimMismatch, match="must be an integer"):
+        reshape3(rand_tensor(2, 3, 4, seed=5), (2.9, 3, 4))
 
 
 # ----------------------------------------------------------------------- PGM
@@ -236,6 +238,14 @@ def test_pgm_write_read_round_trip(tmp_path):
     save_pgm(tmp_path / "w.pgm", img)
     back = load_pgm(tmp_path / "w.pgm")
     assert np.abs(back - img).max() <= 0.5 / 255
+
+
+def test_pgm_stack_save_checks_names_before_writing(tmp_path, rand_tensor):
+    out = tmp_path / "imgs"
+    out.mkdir()
+    with pytest.raises(DimMismatch):
+        save_pgm_stack(out, rand_tensor(4, 5, 3, seed=6) % 1.0, names=["a.pgm", "b.pgm"])
+    assert list(out.iterdir()) == []
 
 
 def test_pgm_stack_save_round_trip(tmp_path, rand_tensor):

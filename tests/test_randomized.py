@@ -3,6 +3,7 @@ import pytest
 
 from tubal import (
     AdaptiveConfig,
+    NonFiniteData,
     RankOutOfRange,
     RngStream,
     SpecInvalid,
@@ -21,7 +22,8 @@ from tubal import (
     transpose,
     truncated_tsvd,
 )
-from tubal.randomized import trim_last_block
+from tubal.core import rfft_tubes
+from tubal.randomized import adaptive_spectral, trim_last_block
 from references import blocked_randqb_matrix
 
 
@@ -276,6 +278,13 @@ def test_adaptive_zero_tensor_degenerates_cleanly():
     assert qb.rank == 0 and not qb.achieved
 
 
+@pytest.mark.parametrize("norm", [float("nan"), float("inf")])
+def test_adaptive_spectral_rejects_nonfinite_norm(norm):
+    x = gaussian_tensor(12, 10, 3, RngStream(1))
+    with pytest.raises(NonFiniteData):
+        adaptive_spectral(rfft_tubes(x), 3, norm, AdaptiveConfig(epsilon=1e-3, block_size=3))
+
+
 @pytest.mark.parametrize("eps_rel", [1e-8, 1e-10, 1e-12, 1e-13, 1e-14])
 def test_precision_floor_never_claims_unmet_bound(eps_rel):
     # eps^2 is within a few ulps of ||x||^2: the recursion E <- E - ||B_i||^2
@@ -448,6 +457,8 @@ def test_qb_to_tsvd_rank_validation(rand_tensor):
     qb = adaptive_qb(x, cfg)
     with pytest.raises(RankOutOfRange):
         qb_to_tsvd(qb, qb.rank + 1)
+    with pytest.raises(RankOutOfRange, match="must be an integer"):
+        qb_to_tsvd(qb, 2.7)
     # ||x||_F < epsilon: the answer is rank 0, which has no factors.
     qb = adaptive_qb(x, AdaptiveConfig(epsilon=2 * frobenius_norm(x), block_size=3))
     assert qb.rank == 0

@@ -115,3 +115,14 @@ def test_is_orthogonal_rejects_raw_gaussian(rand_tensor):
 
 def test_is_orthogonal_accepts_orth_output(rand_tensor):
     assert is_orthogonal(orth(rand_tensor(30, 6, 5, seed=15)), 1e-10)
+
+
+@pytest.mark.parametrize("i3", [1, 4, 5])
+@pytest.mark.parametrize("perturbation", [1e-9, 1e-3])
+def test_is_orthogonal_norm_matches_time_domain(i3, perturbation, rand_tensor):
+    # The verdict flips within 1e-12 of the time-domain norm of q^T * q - I.
+    q = orth(rand_tensor(20, 6, i3, seed=16)) + perturbation * rand_tensor(20, 6, i3, seed=17)
+    scale = np.sqrt(6 * i3)
+    gap = frobenius_norm(tprod(transpose(q), q) - identity_tensor(6, i3))
+    assert is_orthogonal(q, (gap + 1e-12) / scale)
+    assert not is_orthogonal(q, (gap - 1e-12) / scale)
