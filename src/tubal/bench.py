@@ -5,9 +5,10 @@ rank-R tensor with Gaussian singular tubes, plateau-plus-polynomial and
 plateau-plus-exponential singular value decay, and two Hilbert-type
 tensors defined entrywise.  Runs wrap the library operations with a
 monotonic wall clock and always recompute the reported relative error
-from the factors, never from the energy recursion.  Every run measures it
-by one rule: the residual of a spectral pair, ||xh - l @ r|| on the half
-spectrum by residual_energy, over ||x||_F.
+from the factors, never from the energy recursion.  Every run takes
+||x||_F once, transforms x once, solves on that half spectrum xh with a
+spectral core, and reports the residual ||xh - l @ r|| of the result's
+spectral pair on the same xh, by residual_energy, over ||x||_F.
 """
 
 import csv
@@ -30,9 +31,9 @@ from .core import (
     residual_energy,
     rfft_tubes,
 )
-from .decomp import truncated_tsvd
+from .decomp import spectral_pair, tsvd_factors
 from .errors import SpecInvalid
-from .randomized import AdaptiveConfig, adaptive_spectral, randomized_tsvd
+from .randomized import AdaptiveConfig, adaptive_spectral, randomized_spectral
 
 SYNTHETIC_CASES = ("exact-lowrank", "poly-decay", "exp-decay", "hilbert-1", "hilbert-2")
 
@@ -142,6 +143,8 @@ def hilbert_tensor(kind: int, n: int) -> np.ndarray:
     """
     if kind not in (1, 2):
         raise SpecInvalid(f"hilbert kind must be 1 or 2, got {kind}")
+    if as_index(n, "n") < 1:
+        raise SpecInvalid(f"need n >= 1, got n={n}")
     idx = np.arange(1, n + 1, dtype=np.float64)
     if kind == 1:
         base = idx[:, None, None] + idx[None, :, None] + idx[None, None, :]
@@ -210,31 +213,28 @@ def append_csv(report: RunReport, path) -> None:
         w.writerow(row)
 
 
-def _spectral_error(xh: np.ndarray, nx: float, left, right, i3: int) -> float:
-    """||xh - left @ right|| / nx, where xh is the half spectrum of x and nx = ||x||_F."""
-    err = math.sqrt(residual_energy(xh, left, right, i3))
-    return err / nx if nx > 0 else err
+def _checked(x) -> tuple:
+    """(x, ||x||_F): x as float64, validated by as_tensor3 against its norm, taken once."""
+    x = np.asarray(x, dtype=np.float64)
+    nx = frobenius_norm(x)
+    return as_tensor3(x, nx), nx
 
 
-def _tsvd_error(x: np.ndarray, f) -> float:
-    """_spectral_error of TSVDFactors f of x, for the pair (u * s, transpose(v))."""
-    return _spectral_error(rfft_tubes(x), frobenius_norm(x), rfft_tubes(f.u) @ rfft_tubes(f.s),
-                           adjoint(rfft_tubes(f.v)), x.shape[2])
-
-
-def _timed_report(x: np.ndarray, method: str, solve, error, epsilon=None,
+def _timed_report(x: np.ndarray, nx: float, method: str, solve, pair, epsilon=None,
                   block_size=None, power_iters=None, seed=None) -> RunReport:
-    """Time solve(), then report error(result), the relative error recomputed from it.
+    """Time xh = rfft_tubes(x) and solve(xh); report ||xh - l @ r|| / nx, (l, r) = pair(result).
 
     A result with an energy_trace (a QB run) reports it and its length.
     """
     t0 = time.perf_counter()
-    result = solve()
+    xh = rfft_tubes(x)
+    result = solve(xh)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    err = math.sqrt(residual_energy(xh, *pair(result), x.shape[2]))
     trace = getattr(result, "energy_trace", None)
     return RunReport(dims=x.shape, method=method, epsilon=epsilon, block_size=block_size,
                      power_iters=power_iters, seed=seed, estimated_rank=result.rank,
-                     relative_error=error(result), wall_time_ms=elapsed_ms,
+                     relative_error=err / nx if nx > 0 else err, wall_time_ms=elapsed_ms,
                      iterations=None if trace is None else len(trace),
                      energy_trace=None if trace is None else list(trace), result=result)
 
@@ -243,46 +243,32 @@ def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False) -> RunRe
     """Run the adaptive algorithm on x and report it.
 
     With rel=True, cfg.epsilon is interpreted relative to ||x||_F and
-    converted to an absolute bound once, up front.  ||x||_F is taken once
-    and serves the bound, the algorithm and the error.  The run stays on
-    the half spectrum: x is transformed once, the report's result is the
-    SpectralQB pair, and the error is the residual ||xh - qh @ bh||
-    measured on the spectrum by residual_energy.  wall_time_ms covers the
-    transform and the algorithm.
+    converted to an absolute bound once, up front; a bound that is not
+    finite raises SpecInvalid.  The report's result is the SpectralQB pair
+    of adaptive_spectral, and its error the residual of (qh, bh).
     """
-    x = np.asarray(x, dtype=np.float64)
-    nx = frobenius_norm(x)
-    as_tensor3(x, nx)
-    eps_abs = cfg.epsilon * nx if rel else cfg.epsilon
-    eps_rel = eps_abs / nx if nx > 0 else None
+    x, nx = _checked(x)
+    eps_abs = float(cfg.epsilon) * nx if rel else cfg.epsilon
     run_cfg = replace(cfg, epsilon=eps_abs)
-    i3 = x.shape[2]
-    xh = None
-
-    def solve():
-        nonlocal xh
-        xh = rfft_tubes(x)
-        return adaptive_spectral(xh, i3, nx, run_cfg)
-
-    return _timed_report(x, "adaptive", solve,
-                         lambda qb: _spectral_error(xh, nx, qb.qh, qb.bh, i3),
-                         epsilon={"absolute": eps_abs, "relative": eps_rel},
-                         block_size=cfg.block_size, power_iters=cfg.power_iters,
-                         seed=cfg.seed.seed)
+    epsilon = {"absolute": eps_abs, "relative": eps_abs / nx if nx > 0 else None}
+    return _timed_report(x, nx, "adaptive",
+                         lambda xh: adaptive_spectral(xh, x.shape[2], nx, run_cfg),
+                         lambda qb: (qb.qh, qb.bh), epsilon=epsilon, seed=cfg.seed.seed,
+                         block_size=cfg.block_size, power_iters=cfg.power_iters)
 
 
 def run_tsvd(x: np.ndarray, rank: int) -> RunReport:
     """Run the deterministic truncated tubal SVD at a fixed rank and report it."""
-    x = np.asarray(x, dtype=np.float64)
-    return _timed_report(x, "tsvd", lambda: truncated_tsvd(x, rank),
-                         lambda f: _tsvd_error(x, f))
+    x, nx = _checked(x)
+    return _timed_report(x, nx, "tsvd", lambda xh: tsvd_factors(xh, rank, x.shape[2]),
+                         spectral_pair)
 
 
 def run_randomized(x: np.ndarray, rank: int, oversample: int, power_iters: int,
                    seed: RngStream) -> RunReport:
     """Run the fixed-rank randomized tubal SVD and report it (library only, no CLI entry)."""
-    x = np.asarray(x, dtype=np.float64)
-    return _timed_report(x, "randomized",
-                         lambda: randomized_tsvd(x, rank, oversample, power_iters, seed),
-                         lambda f: _tsvd_error(x, f),
-                         power_iters=power_iters, seed=seed.seed)
+    x, nx = _checked(x)
+    return _timed_report(x, nx, "randomized",
+                         lambda xh: randomized_spectral(xh, x.shape[2], nx, rank, oversample,
+                                                        power_iters, seed),
+                         spectral_pair, power_iters=power_iters, seed=seed.seed)

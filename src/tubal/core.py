@@ -133,12 +133,13 @@ def adjoint(h: np.ndarray) -> np.ndarray:
 
 def transpose(x: np.ndarray) -> np.ndarray:
     """Tensor transpose: transpose every frontal slice and reverse slices 2..I3."""
-    xt = np.asarray(x).transpose(1, 0, 2)
+    xt = as_tensor3(x).transpose(1, 0, 2)
     return np.concatenate([xt[:, :, :1], xt[:, :, :0:-1]], axis=2)
 
 
 def identity_tensor(i1: int, i3: int) -> np.ndarray:
     """Identity under the t-product: first frontal slice eye(i1), the rest zero."""
+    i1, i3 = (as_index(d, "dimension", DimMismatch) for d in (i1, i3))
     if i1 < 1 or i3 < 1:
         raise DimMismatch("identity tensor dimensions must be >= 1")
     e = np.zeros((i1, i1, i3))
@@ -195,6 +196,7 @@ def _resolve_generator(rng) -> np.random.Generator:
 
 def gaussian_tensor(i1: int, i2: int, i3: int, rng) -> np.ndarray:
     """I.i.d. standard normal tensor, entries drawn in linear-offset order."""
+    i1, i2, i3 = (as_index(d, "dimension", DimMismatch) for d in (i1, i2, i3))
     if min(i1, i2, i3) < 1:
         raise DimMismatch("gaussian tensor dimensions must be >= 1")
     gen = _resolve_generator(rng)

@@ -70,8 +70,12 @@ def tsvd_factors(h: np.ndarray, rank: int, i3: int, lift=None) -> TSVDFactors:
     """Rank-R tubal SVD factors of the tensor with half spectrum h.
 
     With lift, a (K, I1, M) spectral stack with orthonormal columns, h is
-    the projection lift^H x of some x and u is lifted to lift @ u.
+    the projection lift^H x of some x and u is lifted to lift @ u.  Raises
+    RankOutOfRange unless 1 <= rank <= min(M, I2) for h of shape (K, M, I2).
     """
+    rank = as_index(rank, "rank", RankOutOfRange)
+    if not 1 <= rank <= min(h.shape[1:]):
+        raise RankOutOfRange(f"rank {rank} not in [1, {min(h.shape[1:])}]")
     uh, sh, vhh = np.linalg.svd(h, full_matrices=False)
     uh = uh[:, :, :rank]
     if lift is not None:
@@ -87,16 +91,17 @@ def tsvd_factors(h: np.ndarray, rank: int, i3: int, lift=None) -> TSVDFactors:
 def truncated_tsvd(x: np.ndarray, rank: int) -> TSVDFactors:
     """Rank-R tubal SVD via per-slice truncated SVD in the frequency domain."""
     x = as_tensor3(x)
-    i1, i2, i3 = x.shape
-    if not 1 <= as_index(rank, "rank", RankOutOfRange) <= min(i1, i2):
-        raise RankOutOfRange(f"rank {rank} not in [1, {min(i1, i2)}] for dims {x.shape}")
-    return tsvd_factors(rfft_tubes(x), rank, i3)
+    return tsvd_factors(rfft_tubes(x), rank, x.shape[2])
+
+
+def spectral_pair(f: TSVDFactors):
+    """The half spectra of u * s and transpose(v): the pair whose product is the approximation."""
+    return rfft_tubes(f.u) @ rfft_tubes(f.s), adjoint(rfft_tubes(f.v))
 
 
 def reconstruct(f: TSVDFactors) -> np.ndarray:
     """Multiply the factors back together: u * s * transpose(v)."""
-    h = rfft_tubes(f.u) @ rfft_tubes(f.s) @ adjoint(rfft_tubes(f.v))
-    return irfft_tubes(h, f.u.shape[2])
+    return irfft_tubes(np.matmul(*spectral_pair(f)), f.u.shape[2])
 
 
 def tubal_rank(x: np.ndarray) -> int:

@@ -3,8 +3,11 @@
 Contains the fixed-rank randomized t-SVD with subspace (power) iteration,
 the adaptive fixed-precision QB factorization that discovers the tubal
 rank from an error bound, and trim_last_block, the rule that trims the
-final block to the exact rank.  The package does not export
-trim_last_block; it is public so that the benchmark can trace it.
+final block to the exact rank.  Each algorithm is a spectral core on the
+half spectrum of x, randomized_spectral or adaptive_spectral, behind a
+wrapper that validates x and transforms it once.  The package exports
+neither the cores nor trim_last_block; they are public so that the run
+reports can call them and the benchmark can trace them.
 
 Both take each new block from one block step, which projects every
 product with x off the basis found so far, so each power round multiplies
@@ -53,7 +56,7 @@ class AdaptiveConfig:
     block_size columns are added per iteration; power_iters subspace
     rounds, each multiplying by the residual x - q*b, sharpen each block;
     max_rank caps the search (None means min(I1, I2) of the tensor being
-    factored).  A NaN, out-of-range or non-integer value raises SpecInvalid.
+    factored).  A NaN, infinite, out-of-range or non-integer value raises SpecInvalid.
     """
 
     epsilon: float
@@ -63,8 +66,8 @@ class AdaptiveConfig:
     seed: RngStream = field(default_factory=lambda: RngStream(0))
 
     def __post_init__(self):
-        if not self.epsilon >= 0:
-            raise SpecInvalid(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0 <= self.epsilon < np.inf:
+            raise SpecInvalid(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if as_index(self.block_size, "block_size") < 1:
             raise SpecInvalid(f"block_size must be >= 1, got {self.block_size}")
         if as_index(self.power_iters, "power_iters") < 0:
@@ -109,6 +112,13 @@ class QBApprox:
         return self.b.shape[0]
 
 
+def _rms_scale(norm: float, size: int) -> float:
+    """||x||_F / sqrt(x.size), each core's scale; a non-finite norm raises NonFiniteData."""
+    if not np.isfinite(norm):
+        raise NonFiniteData(f"norm must be finite, got {norm}")
+    return norm / np.sqrt(max(size, 1))
+
+
 def _next_block(xh: np.ndarray, qh: np.ndarray, p: np.ndarray, i3: int, scale: float,
                 rounds: int, passes: int) -> np.ndarray:
     """The block step: an orthonormal block from the sketch p = xh @ omega, orthogonal to qh.
@@ -141,11 +151,19 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     power_iters rounds of alternating products with x and its transpose
     (orthonormalizing after every half-step for stability), projects, and
     recovers the factors from the truncated t-SVD of the projection.
-    Everything runs on the half spectrum of x, transformed once.
+    randomized_spectral runs it all on the half spectrum of x, transformed once.
     """
     x = np.asarray(x, dtype=np.float64)
     norm = frobenius_norm(x)
-    i1, i2, i3 = as_tensor3(x, norm).shape
+    i3 = as_tensor3(x, norm).shape[2]
+    return randomized_spectral(rfft_tubes(x), i3, norm, rank, oversample, power_iters, rng)
+
+
+def randomized_spectral(xh: np.ndarray, i3: int, norm: float, rank: int, oversample: int,
+                        power_iters: int, rng) -> TSVDFactors:
+    """The algorithm of randomized_tsvd on xh = rfft_tubes(x), with i3 = I3 and norm = ||x||_F."""
+    i1, i2 = xh.shape[1:]
+    scale = _rms_scale(norm, i1 * i2 * i3)
     rank = as_index(rank, "rank", RankOutOfRange)
     oversample = as_index(oversample, "oversample", RankOutOfRange)
     if rank < 1 or oversample < 0 or rank + oversample > min(i1, i2):
@@ -154,8 +172,6 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     if as_index(power_iters, "power_iters") < 0:
         raise SpecInvalid(f"power_iters must be >= 0, got {power_iters}")
     omega = rfft_tubes(gaussian_tensor(i2, rank + oversample, i3, rng))
-    xh = rfft_tubes(x)
-    scale = norm / np.sqrt(max(x.size, 1))
     q = _next_block(xh, xh[:, :, :0], xh @ omega, i3, scale, power_iters, 0)
     return tsvd_factors(adjoint(q) @ xh, rank, i3, lift=q)
 
@@ -199,20 +215,17 @@ def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
                       trim: bool = True) -> SpectralQB:
     """The algorithm of adaptive_qb on the half spectrum xh = rfft_tubes(x).
 
-    i3 is I3 and norm is ||x||_F; x itself is not needed.  The result is
-    left on the half spectrum; qh and bh may be views of larger stacks.
-    A non-finite norm raises NonFiniteData, as as_tensor3(x, norm) does.
+    i3 is I3 and norm is ||x||_F, which must be finite.  The result stays
+    on the half spectrum; qh and bh may be views of larger stacks.
     """
-    if not np.isfinite(norm):
-        raise NonFiniteData(f"norm must be finite, got {norm}")
     i1, i2 = xh.shape[1:]
+    scale = _rms_scale(norm, i1 * i2 * i3)
     max_rank = min(i1, i2) if cfg.max_rank is None else cfg.max_rank
     if max_rank > min(i1, i2):
         raise RankOutOfRange(f"max_rank {max_rank} exceeds min(I1, I2) = {min(i1, i2)}")
     gen = cfg.seed.generator()
     eps2 = cfg.epsilon ** 2
 
-    scale = norm / np.sqrt(max(i1 * i2 * i3, 1))
     qh = np.zeros((xh.shape[0], i1, 0), dtype=np.complex128)
     bh = np.zeros((xh.shape[0], 0, i2), dtype=np.complex128)
     trace: list = []
@@ -270,7 +283,5 @@ def qb_to_tsvd(qb: QBApprox, rank="all") -> TSVDFactors:
     if qb.rank == 0:
         raise RankOutOfRange("qb has rank 0, so there are no factors: ||x||_F was "
                              "already below epsilon, or x is numerically zero")
-    r = qb.rank if rank == "all" else as_index(rank, "rank", RankOutOfRange)
-    if not 1 <= r <= qb.rank:
-        raise RankOutOfRange(f"rank {rank} not in [1, {qb.rank}]")
-    return tsvd_factors(rfft_tubes(qb.b), r, qb.b.shape[2], lift=rfft_tubes(qb.q))
+    return tsvd_factors(rfft_tubes(qb.b), qb.rank if rank == "all" else rank, qb.b.shape[2],
+                        lift=rfft_tubes(qb.q))

@@ -167,12 +167,10 @@ def load_pgm_stack(source) -> np.ndarray:
 def save_pgm_stack(dir_path, x: np.ndarray, names=None) -> None:
     """Write frontal slices of a tensor as numbered (or given) PGM files.
 
-    names, if given, holds one file name per frontal slice; any other
-    length raises DimMismatch before a file is written.
+    x is checked by as_tensor3 and names, if given, must hold one file name
+    per frontal slice, before any directory or file is written.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise DimMismatch("expected a third-order tensor of images")
+    x = as_tensor3(x)
     count = x.shape[2]
     if names is None:
         names = [f"slice{k:04d}.pgm" for k in range(count)]

@@ -10,7 +10,7 @@ there is no special case.
 
 import numpy as np
 
-from .core import adjoint, irfft_tubes, rfft_tubes, row_energies
+from .core import adjoint, as_tensor3, irfft_tubes, rfft_tubes, row_energies
 from .errors import DimMismatch
 
 
@@ -39,8 +39,7 @@ def is_orthogonal(q: np.ndarray, tol: float) -> bool:
     orthogonal tensor applies only when R = I1.  The norm is taken on the
     half spectrum, where the identity is eye(R) in every slice.
     """
-    q = np.asarray(q, dtype=np.float64)
-    r, i3 = q.shape[1], q.shape[2]
+    r, i3 = as_tensor3(q).shape[1:]
     qh = rfft_tubes(q)
     gram = adjoint(qh) @ qh - np.eye(r)
     return np.sqrt(row_energies(gram, i3).sum()) <= tol * np.sqrt(r * i3)

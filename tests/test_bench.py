@@ -60,6 +60,13 @@ def test_decay_profiles():
     assert d[7] == pytest.approx(10.0 ** -5)
 
 
+@pytest.mark.parametrize("n", [0, -2, 2.5])
+def test_hilbert_tensor_refuses_bad_n(n):
+    # 2.5 once built a 3x3x3 tensor and 0 an empty one.
+    with pytest.raises(SpecInvalid):
+        hilbert_tensor(1, n)
+
+
 def test_hilbert_values():
     x = hilbert_tensor(1, 4)
     assert x[0, 0, 0] == pytest.approx(1.0 / 3.0)
@@ -165,6 +172,13 @@ def test_run_adaptive_absolute_mode(rand_tensor):
     assert rep.epsilon["absolute"] == pytest.approx(eps)
     assert rep.epsilon["relative"] == pytest.approx(0.3)
     assert rep.relative_error <= 0.3 * (1 + 1e-6)
+
+
+def test_run_adaptive_refuses_overflowing_relative_bound(rand_tensor):
+    # eps * ||x||_F is inf, and a numpy eps warned as the product overflowed.
+    cfg = AdaptiveConfig(epsilon=np.float64(1e308), block_size=4, seed=RngStream(15))
+    with pytest.raises(SpecInvalid, match="finite"):
+        run_adaptive(rand_tensor(20, 15, 4, seed=14), cfg, rel=True)
 
 
 def test_run_randomized_report(rand_tensor):

@@ -29,9 +29,14 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def read_json(path):
+    # Strict: a NaN or Infinity in a report fails the test that reads it.
     with open(path) as f:
-        return json.load(f)
+        return json.load(f, parse_constant=_refuse_constant)
 
 
 def test_bench_synthetic_writes_report(tmp_path):
@@ -178,7 +183,8 @@ def test_bad_magic_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--block", "0"), ("--eps", "-1"),
-                                         ("--power", "-1"), ("--eps", "nan")])
+                                         ("--power", "-1"), ("--eps", "nan"),
+                                         ("--eps", "inf")])
 def test_invalid_adaptive_flag_exits_1(flag, value, tmp_path, capsys):
     tns = tmp_path / "x.tns"
     save_tns(gaussian_tensor(6, 5, 3, RngStream(8)), tns)
@@ -188,6 +194,29 @@ def test_invalid_adaptive_flag_exits_1(flag, value, tmp_path, capsys):
     assert code == 1 and not out.exists()
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("tubal: error:")
+
+
+def test_relative_eps_overflow_exits_1(tmp_path, capsys):
+    # eps * ||x||_F overflows to inf, which once went into the report as Infinity.
+    tns = tmp_path / "x.tns"
+    save_tns(gaussian_tensor(12, 10, 3, RngStream(8)), tns)
+    out = tmp_path / "r.json"
+    code = run_cli("adaptive", "--in", tns, "--out", out, "--eps", "1e308", "--rel")
+    assert code == 1 and not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tubal: error:")
+
+
+# numpy warns as the sum of squares overflows; the job then refuses x.
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_tsvd_job_refuses_norm_overflow(tmp_path, capsys):
+    # The job once exited 0 with "relative_error": NaN.
+    tns = tmp_path / "x.tns"
+    save_tns(gaussian_tensor(12, 10, 3, RngStream(8)) * 1e160, tns)
+    out = tmp_path / "r.json"
+    code = run_cli("tsvd", "--in", tns, "--rank", "3", "--out", out)
+    assert code == 1 and not out.exists()
+    assert "overflows float64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "-1"])

@@ -13,9 +13,12 @@ from tubal import (
     frobenius_norm,
     gaussian_tensor,
     identity_tensor,
+    is_orthogonal,
     orth,
     randomized_tsvd,
     run_adaptive,
+    run_randomized,
+    run_tsvd,
     t_qr,
     tprod,
     transpose,
@@ -227,6 +230,17 @@ def test_gaussian_moments():
     assert abs(x.var() - 1.0) <= 0.05
 
 
+@pytest.mark.parametrize("make", [lambda: gaussian_tensor(2.5, 3, 4, RngStream(1)),
+                                  lambda: gaussian_tensor(2, 3, 4.0, RngStream(1)),
+                                  lambda: identity_tensor(2.5, 3),
+                                  lambda: identity_tensor(2, 0)],
+                         ids=["gaussian-i1", "gaussian-i3", "identity-i1", "identity-zero"])
+def test_constructors_refuse_bad_dimensions(make):
+    # Non-integer dimensions once leaked numpy's TypeError.
+    with pytest.raises(DimMismatch):
+        make()
+
+
 # ------------------------------------------------------------- half spectrum
 
 @pytest.mark.parametrize("i3", [7, 8])
@@ -295,11 +309,15 @@ def _config():
 ENTRIES = {
     "adaptive_qb": lambda x: adaptive_qb(x, _config()),
     "run_adaptive": lambda x: run_adaptive(x, _config(), rel=True),
+    "run_tsvd": lambda x: run_tsvd(x, 3),
+    "run_randomized": lambda x: run_randomized(x, 3, 2, 1, RngStream(1)),
     "randomized_tsvd": lambda x: randomized_tsvd(x, 3, 2, 1, RngStream(1)),
     "truncated_tsvd": lambda x: truncated_tsvd(x, 3),
     "tubal_rank": tubal_rank,
     "t_qr": t_qr,
     "orth": orth,
+    "is_orthogonal": lambda x: is_orthogonal(x, 1e-8),
+    "transpose": transpose,
 }
 
 
@@ -322,8 +340,10 @@ def test_entries_refuse_non_3d_data(entry):
 
 # numpy warns as the sum of squares overflows; the entry then refuses x.
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
-@pytest.mark.parametrize("entry", ["adaptive_qb", "run_adaptive", "randomized_tsvd"])
+@pytest.mark.parametrize("entry", ["adaptive_qb", "run_adaptive", "run_tsvd", "run_randomized",
+                                   "randomized_tsvd"])
 def test_entries_taking_the_norm_refuse_its_overflow(entry):
+    # Unchecked, run_tsvd reported a NaN error for this x.
     x = gaussian_tensor(20, 15, 7, RngStream(1)) * 1e160
     with pytest.raises(NonFiniteData, match="overflows float64"):
         ENTRIES[entry](x)

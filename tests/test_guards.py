@@ -1,8 +1,8 @@
 """Structural guards: what the benchmark traces exists, the exports are the README's
 list and hold no test reference, the README's quick start runs, x is transformed once
-per run, the CLI job stays on the half spectrum, the exact-lowrank generator transforms
-only the lateral slices it keeps, and the core runs the one trim rule once per run that
-meets its bound."""
+per run and per run report, the CLI job stays on the half spectrum, the exact-lowrank
+generator transforms only the lateral slices it keeps, and the core runs the one trim
+rule once per run that meets its bound."""
 
 import importlib
 import json
@@ -24,6 +24,9 @@ from tubal import (
     frobenius_norm,
     gen_synthetic,
     randomized_tsvd,
+    run_adaptive,
+    run_randomized,
+    run_tsvd,
     save_pgm_stack,
     save_tns,
 )
@@ -119,6 +122,23 @@ def test_adaptive_transforms_x_once(x_transforms, rand_tensor):
 def test_randomized_tsvd_transforms_x_once(x_transforms, rand_tensor):
     x = rand_tensor(30, 20, 6, seed=72)
     randomized_tsvd(x, rank=5, oversample=3, power_iters=2, rng=RngStream(73))
+    assert x_transforms.count(x.size) == 1
+
+
+RUNS = {
+    "run_adaptive": lambda x: run_adaptive(x, AdaptiveConfig(epsilon=0.3, block_size=4,
+                                                             seed=RngStream(82)), rel=True),
+    "run_tsvd": lambda x: run_tsvd(x, 5),
+    "run_randomized": lambda x: run_randomized(x, 5, 3, 1, RngStream(82)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_run_reports_transform_x_once(run, x_transforms, rand_tensor):
+    # Every report solves and measures its error on the same spectrum of x.
+    x = rand_tensor(30, 20, 6, seed=81)
+    report = RUNS[run](x)
+    assert report.estimated_rank > 0 and 0 < report.relative_error < 1
     assert x_transforms.count(x.size) == 1
 
 

@@ -248,6 +248,16 @@ def test_pgm_stack_save_checks_names_before_writing(tmp_path, rand_tensor):
     assert list(out.iterdir()) == []
 
 
+def test_pgm_stack_save_refuses_non_finite_data(tmp_path, rand_tensor):
+    # A NaN once warned and was written as pixel 0.
+    x = rand_tensor(4, 5, 3, seed=6) % 1.0
+    x[1, 2, 0] = np.nan
+    out = tmp_path / "imgs"
+    with pytest.raises(NonFiniteData):
+        save_pgm_stack(out, x)
+    assert not out.exists()
+
+
 def test_pgm_stack_save_round_trip(tmp_path, rand_tensor):
     x = (rand_tensor(4, 5, 3, seed=6) % 1.0 + 1.0) % 1.0
     out = tmp_path / "imgs"

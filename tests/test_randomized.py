@@ -358,6 +358,8 @@ def test_config_validation():
         AdaptiveConfig(epsilon=1.0, block_size=2, power_iters=-1)
     with pytest.raises(SpecInvalid):
         AdaptiveConfig(epsilon=float("nan"), block_size=2)
+    with pytest.raises(SpecInvalid, match="finite"):
+        AdaptiveConfig(epsilon=float("inf"), block_size=2)
     with pytest.raises(SpecInvalid, match="block_size must be an integer"):
         AdaptiveConfig(epsilon=1.0, block_size=2.5)
     with pytest.raises(SpecInvalid, match="power_iters must be an integer"):
