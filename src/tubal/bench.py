@@ -31,9 +31,9 @@ from .core import (
     residual_energy,
     rfft_tubes,
 )
-from .decomp import spectral_pair, tsvd_factors
+from .decomp import check_rank, spectral_pair, tsvd_factors
 from .errors import SpecInvalid
-from .randomized import AdaptiveConfig, adaptive_spectral, randomized_spectral
+from .randomized import AdaptiveConfig, adaptive_spectral, check_sketch, randomized_spectral
 
 SYNTHETIC_CASES = ("exact-lowrank", "poly-decay", "exp-decay", "hilbert-1", "hilbert-2")
 
@@ -260,6 +260,7 @@ def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False) -> RunRe
 def run_tsvd(x: np.ndarray, rank: int) -> RunReport:
     """Run the deterministic truncated tubal SVD at a fixed rank and report it."""
     x, nx = _checked(x)
+    check_rank(rank, *x.shape[:2])
     return _timed_report(x, nx, "tsvd", lambda xh: tsvd_factors(xh, rank, x.shape[2]),
                          spectral_pair)
 
@@ -268,6 +269,7 @@ def run_randomized(x: np.ndarray, rank: int, oversample: int, power_iters: int,
                    seed: RngStream) -> RunReport:
     """Run the fixed-rank randomized tubal SVD and report it (library only, no CLI entry)."""
     x, nx = _checked(x)
+    check_sketch(rank, oversample, power_iters, *x.shape[:2])
     return _timed_report(x, nx, "randomized",
                          lambda xh: randomized_spectral(xh, x.shape[2], nx, rank, oversample,
                                                         power_iters, seed),

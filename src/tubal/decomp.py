@@ -1,9 +1,15 @@
 """Deterministic tubal decompositions: t-QR, orthogonalization, truncated t-SVD.
 
-All factorizations run as one batched call on the half-spectrum stack of
-rfft_tubes; the trailing slices are conjugate mirrors (singular values
-mirror without conjugation), so the inverse transform of the assembled
-half-spectrum is exactly real.
+Every factorization runs on the half-spectrum stack of rfft_tubes; the
+trailing slices are conjugate mirrors (singular values mirror without
+conjugation), so the inverse transform of the assembled half-spectrum is
+exactly real.  t-QR, orth and tubal_rank are one batched LAPACK call each.
+The truncated t-SVD (svd_spectral) goes over the slices in chunks of at
+most GRAM_BLOCK_BYTES of h: it takes the Gram of each slice's smaller
+side in one batched product, and the top-rank eigenpairs of that Gram
+give the singular values and one factor, a projection the other.  A slice
+whose spectrum cannot certify that result (GRAM_RTOL) is factored by SVD
+instead, and no factor wider than the rank is formed.
 """
 
 from dataclasses import dataclass
@@ -16,6 +22,16 @@ from .errors import DegenerateInput, RankOutOfRange
 # Entries this small relative to the data's scale carry no direction
 # information worth orthonormalizing.
 ZERO_INPUT_RTOL = 1e-14
+
+# svd_spectral takes h in chunks of whole slices of at most this many bytes,
+# which bounds the chunk's Gram and its conjugate copy of h as well.  Kept
+# small: with 8 MiB chunks of a 200^3 cube's spectrum, glibc kept 60 MB of
+# freed chunk memory resident in the heap after the t-SVD returned.
+GRAM_BLOCK_BYTES = 2 * 2**20
+
+# svd_spectral takes a slice's factors from its Gram only when the Gram's
+# r-th eigenvalue exceeds GRAM_RTOL times its largest (derivation there).
+GRAM_RTOL = 2.0 ** -20
 
 
 @dataclass
@@ -66,31 +82,100 @@ def orth(x: np.ndarray) -> np.ndarray:
     return irfft_tubes(orth_spectral(rfft_tubes(x), x.shape[2]), x.shape[2])
 
 
+def check_rank(rank, i1: int, i2: int) -> int:
+    """rank as an int if 1 <= rank <= min(i1, i2), the t-SVD's rank range; else RankOutOfRange."""
+    rank = as_index(rank, "rank", RankOutOfRange)
+    if not 1 <= rank <= min(i1, i2):
+        raise RankOutOfRange(f"rank {rank} not in [1, {min(i1, i2)}]")
+    return rank
+
+
+def svd_spectral(h: np.ndarray, rank: int):
+    """(u, s, vh): the top-rank singular triplets of every slice of the (K, M, I2) stack h.
+
+    u is (K, M, rank) with orthonormal columns, vh is (K, rank, I2) with
+    orthonormal rows and s the (K, rank) nonincreasing singular values, as
+    np.linalg.svd returns them, so u * s @ vh is each slice's best
+    rank-rank approximation.  rank must be in range.
+
+    Each chunk of slices takes the Gram g of its smaller side (h h^H if
+    M <= I2, else h^H h) and its eigenpairs (lam, w), largest first.  Then
+    s = sqrt(lam), w is that side's factor and the other side's is the
+    projection w^H h / s (or h w / s).  The Gram and eigh are backward
+    stable: with lam_1 = s_1^2, w is orthonormal to working precision and
+    w^H G w = diag(lam) + F with ||F|| <= p(M) * ulp * lam_1 for the exact
+    Gram G and a modest polynomial p in the slice's sizes.  So the
+    projected factor f satisfies f^H f = I + diag(s)^-1 F diag(s)^-1, off I
+    by at most p(M) * ulp * lam_1 / lam_r, and s_r is off by half that
+    relative amount.  A slice takes this path only if
+    lam_r > GRAM_RTOL * lam_1, which keeps both below
+    p(M) * ulp / GRAM_RTOL: at 2^-20, s_1 / s_r up to 1024 and a loss of
+    p(M) * 2^-32 at worst.  lam_r must also be a normal number, so
+    underflow adds no larger error.  The product u * s @ vh is w w^H h, the
+    projection on the top eigenspace, which no rounding of s enters.  Zero,
+    rank-deficient and ill-conditioned slices fail the test, as do slices
+    whose Gram overflows, and go to np.linalg.svd, those slices only;
+    nothing divides by zero.
+    """
+    k, m, n = h.shape
+    wide = m <= n
+    u = np.empty((k, m, rank), dtype=np.complex128)
+    s = np.empty((k, rank))
+    vh = np.empty((k, rank, n), dtype=np.complex128)
+    top = slice(None, -rank - 1, -1)
+    step = max(GRAM_BLOCK_BYTES // (16 * m * n), 1)
+    for a in range(0, k, step):
+        c = slice(a, a + step)
+        hc, uc, sc, vhc = h[c], u[c], s[c], vh[c]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = hc @ adjoint(hc) if wide else adjoint(hc) @ hc
+        g[~np.isfinite(g).all(axis=(1, 2))] = 0.0
+        lam, w = np.linalg.eigh(g)
+        del g
+        lam = lam[:, top]
+        ok = (lam[:, -1] > GRAM_RTOL * lam[:, 0]) & (lam[:, -1] >= np.finfo(np.float64).tiny)
+        np.sqrt(np.maximum(lam, 0.0, out=sc), out=sc)
+        if wide:
+            uc[...] = w[:, :, top]
+            np.matmul(adjoint(uc), hc, out=vhc)
+            np.divide(vhc, sc[:, :, None], out=vhc, where=ok[:, None, None])
+        else:
+            vhc[...] = adjoint(w[:, :, top])
+            np.matmul(hc, adjoint(vhc), out=uc)
+            np.divide(uc, sc[:, None, :], out=uc, where=ok[:, None, None])
+        del w
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            ub, sb, vhb = np.linalg.svd(hc[bad], full_matrices=False)
+            uc[bad], sc[bad], vhc[bad] = ub[:, :, :rank], sb[:, :rank], vhb[:, :rank]
+    return u, s, vh
+
+
 def tsvd_factors(h: np.ndarray, rank: int, i3: int, lift=None) -> TSVDFactors:
-    """Rank-R tubal SVD factors of the tensor with half spectrum h.
+    """Rank-R tubal SVD factors of the tensor with half spectrum h, by svd_spectral.
 
     With lift, a (K, I1, M) spectral stack with orthonormal columns, h is
     the projection lift^H x of some x and u is lifted to lift @ u.  Raises
     RankOutOfRange unless 1 <= rank <= min(M, I2) for h of shape (K, M, I2).
     """
-    rank = as_index(rank, "rank", RankOutOfRange)
-    if not 1 <= rank <= min(h.shape[1:]):
-        raise RankOutOfRange(f"rank {rank} not in [1, {min(h.shape[1:])}]")
-    uh, sh, vhh = np.linalg.svd(h, full_matrices=False)
-    uh = uh[:, :, :rank]
+    rank = check_rank(rank, *h.shape[1:])
+    uh, sh, vhh = svd_spectral(h, rank)
     if lift is not None:
         uh = lift @ uh
     # Only the diagonal tubes of s are nonzero; the rest transform to zeros.
     s = np.zeros((rank, rank, i3))
     idx = np.arange(rank)
-    s[idx, idx] = np.fft.irfft(sh[:, :rank], n=i3, axis=0).T
-    return TSVDFactors(u=irfft_tubes(uh, i3), s=s,
-                       v=irfft_tubes(adjoint(vhh[:, :rank, :]), i3))
+    s[idx, idx] = np.fft.irfft(sh, n=i3, axis=0).T
+    return TSVDFactors(u=irfft_tubes(uh, i3), s=s, v=irfft_tubes(adjoint(vhh), i3))
 
 
 def truncated_tsvd(x: np.ndarray, rank: int) -> TSVDFactors:
-    """Rank-R tubal SVD via per-slice truncated SVD in the frequency domain."""
+    """Rank-R tubal SVD: tsvd_factors of the half spectrum of x.
+
+    An out-of-range rank is refused before x is transformed.
+    """
     x = as_tensor3(x)
+    check_rank(rank, *x.shape[:2])
     return tsvd_factors(rfft_tubes(x), rank, x.shape[2])
 
 

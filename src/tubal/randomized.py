@@ -155,15 +155,18 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     """
     x = np.asarray(x, dtype=np.float64)
     norm = frobenius_norm(x)
-    i3 = as_tensor3(x, norm).shape[2]
+    i1, i2, i3 = as_tensor3(x, norm).shape
+    check_sketch(rank, oversample, power_iters, i1, i2)
     return randomized_spectral(rfft_tubes(x), i3, norm, rank, oversample, power_iters, rng)
 
 
-def randomized_spectral(xh: np.ndarray, i3: int, norm: float, rank: int, oversample: int,
-                        power_iters: int, rng) -> TSVDFactors:
-    """The algorithm of randomized_tsvd on xh = rfft_tubes(x), with i3 = I3 and norm = ||x||_F."""
-    i1, i2 = xh.shape[1:]
-    scale = _rms_scale(norm, i1 * i2 * i3)
+def check_sketch(rank, oversample, power_iters, i1: int, i2: int):
+    """(rank, oversample) as ints if they and power_iters are valid for an I1 x I2 x I3 tensor.
+
+    The rule of randomized_tsvd: 1 <= rank, 0 <= oversample and
+    rank + oversample <= min(I1, I2), else RankOutOfRange; 0 <= power_iters,
+    else SpecInvalid.  The wrappers call it on x's shape before transforming x.
+    """
     rank = as_index(rank, "rank", RankOutOfRange)
     oversample = as_index(oversample, "oversample", RankOutOfRange)
     if rank < 1 or oversample < 0 or rank + oversample > min(i1, i2):
@@ -171,6 +174,15 @@ def randomized_spectral(xh: np.ndarray, i3: int, norm: float, rank: int, oversam
                              f"{min(i1, i2)}, got rank={rank}, oversample={oversample}")
     if as_index(power_iters, "power_iters") < 0:
         raise SpecInvalid(f"power_iters must be >= 0, got {power_iters}")
+    return rank, oversample
+
+
+def randomized_spectral(xh: np.ndarray, i3: int, norm: float, rank: int, oversample: int,
+                        power_iters: int, rng) -> TSVDFactors:
+    """The algorithm of randomized_tsvd on xh = rfft_tubes(x), with i3 = I3 and norm = ||x||_F."""
+    i1, i2 = xh.shape[1:]
+    scale = _rms_scale(norm, i1 * i2 * i3)
+    rank, oversample = check_sketch(rank, oversample, power_iters, i1, i2)
     omega = rfft_tubes(gaussian_tensor(i2, rank + oversample, i3, rng))
     q = _next_block(xh, xh[:, :, :0], xh @ omega, i3, scale, power_iters, 0)
     return tsvd_factors(adjoint(q) @ xh, rank, i3, lift=q)

@@ -9,6 +9,7 @@ from tubal import (
     SyntheticSpec,
     adaptive_qb,
     frobenius_norm,
+    gaussian_tensor,
     gen_synthetic,
     identity_tensor,
     is_orthogonal,
@@ -20,6 +21,9 @@ from tubal import (
     truncated_tsvd,
     tubal_rank,
 )
+import tubal.decomp
+from tubal.core import adjoint, irfft_tubes, rfft_tubes
+from tubal.decomp import svd_spectral, tsvd_factors
 from references import dft_tubes, idft_tubes
 
 
@@ -203,6 +207,121 @@ def test_eckart_young_beats_qb(rand_tensor):
     err_tsvd = frobenius_norm(x - reconstruct(f))
     err_qb = frobenius_norm(x - tprod(qb.q, qb.b))
     assert err_tsvd <= err_qb + 1e-9 * frobenius_norm(x)
+
+
+# Every test runs with RuntimeWarning as an error (pyproject.toml), so the
+# fallback tests below also assert that no slice divides by zero.
+
+@pytest.fixture
+def svd_slices(monkeypatch):
+    """Slice counts of the np.linalg.svd calls made while the test runs: the SVD fallback."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def conditioned_spectrum(i1, i2, i3, diagonals, seed):
+    """Half spectrum with orthonormal factors and the (K, R) singular values diagonals."""
+    qa = rfft_tubes(orth(gaussian_tensor(i1, diagonals.shape[1], i3, RngStream(seed))))
+    qb = rfft_tubes(orth(gaussian_tensor(i2, diagonals.shape[1], i3, RngStream(seed + 1))))
+    return (qa * diagonals[:, None, :]) @ adjoint(qb)
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+@pytest.mark.parametrize("i3", [6, 7])
+@pytest.mark.parametrize("i1,i2", [(7, 11), (11, 7)])
+def test_gram_path_matches_svd(i1, i2, i3, lifted, rand_tensor, svd_slices):
+    x = rand_tensor(i1 + 3 if lifted else i1, i2, i3, seed=31)
+    xh = rfft_tubes(x)
+    lift = np.linalg.qr(rfft_tubes(rand_tensor(x.shape[0], i1, i3, seed=32)))[0]
+    h = adjoint(lift) @ xh if lifted else xh
+    rank = 4
+    uh, sh, vhh = np.linalg.svd(h, full_matrices=False)
+    svd_slices.clear()
+    f = tsvd_factors(h, rank, i3, lift=lift if lifted else None)
+    assert svd_slices == []
+    idx = np.arange(rank)
+    s = rfft_tubes(f.s)[:, idx, idx]
+    assert np.abs(s - sh[:, :rank]).max() <= 1e-13 * sh[:, 0].max()
+    uh = lift @ uh if lifted else uh
+    ref = irfft_tubes((uh[:, :, :rank] * sh[:, None, :rank]) @ vhh[:, :rank], i3)
+    assert frobenius_norm(reconstruct(f) - ref) <= 1e-12 * frobenius_norm(ref)
+    assert is_orthogonal(f.u, 1e-12)
+    assert is_orthogonal(f.v, 1e-12)
+
+
+def test_gram_fallback_zero_slices(svd_slices):
+    # Constant tubes: every slice but the DC slice is exactly zero.
+    x = gen_synthetic(SyntheticSpec(case="poly-decay", n=12, rank=3, delta=0.0))
+    f = truncated_tsvd(x, 4)
+    assert svd_slices == [6]
+    assert is_orthogonal(f.u, 1e-12)
+    assert is_orthogonal(f.v, 1e-12)
+    # Every frontal slice is the same matrix, truncated the same way.
+    tail = np.linalg.svd(x[:, :, 0], compute_uv=False)[4:]
+    err = frobenius_norm(x - reconstruct(f))
+    assert err == pytest.approx(np.sqrt(12 * (tail ** 2).sum()), rel=1e-12)
+
+
+def test_gram_fallback_rank_above_slice_rank(svd_slices):
+    x = gen_synthetic(SyntheticSpec(case="exact-lowrank", n=9, rank=2, delta=0.0,
+                                    seed=RngStream(5)))
+    f = truncated_tsvd(x, 4)
+    assert svd_slices == [5]
+    assert is_orthogonal(f.u, 1e-12)
+    assert is_orthogonal(f.v, 1e-12)
+    assert frobenius_norm(x - reconstruct(f)) <= 1e-12 * frobenius_norm(x)
+
+
+def test_gram_fallback_ill_conditioned_slice(svd_slices):
+    # Slice 1 has s_1 / s_5 = 1e8, far past what GRAM_RTOL admits; the others are tame.
+    d = np.tile(np.linspace(1.0, 0.6, 5), (4, 1))
+    d[1] = np.logspace(0, -8, 5)
+    x = irfft_tubes(conditioned_spectrum(8, 6, 6, d, seed=40), 6)
+    f = truncated_tsvd(x, 5)
+    assert svd_slices == [1]
+    assert is_orthogonal(f.u, 1e-12)
+    assert is_orthogonal(f.v, 1e-12)
+    idx = np.arange(5)
+    assert np.abs(rfft_tubes(f.s)[:, idx, idx] - d).max() <= 1e-13
+    assert frobenius_norm(x - reconstruct(f)) <= 1e-12 * frobenius_norm(x)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_gram_fallback_out_of_range_scale(scale, rand_tensor, svd_slices):
+    # The Gram overflows, or underflows below the normal range, on every slice.
+    x = rand_tensor(8, 6, 5, seed=42)
+    f = truncated_tsvd(x * scale, 3)
+    assert svd_slices == [3]
+    assert is_orthogonal(f.u, 1e-12)
+    assert is_orthogonal(f.v, 1e-12)
+    ref = truncated_tsvd(x, 3)
+    assert np.abs(f.s / scale - ref.s).max() <= 1e-13 * np.abs(ref.s).max()
+
+
+def test_gram_certificate_threshold(svd_slices):
+    # lam_r / lam_1 just above GRAM_RTOL on slice 0, just below it on slice 1.
+    ratio = np.sqrt(tubal.decomp.GRAM_RTOL)
+    d = np.array([[1.0, ratio * 1.01], [1.0, ratio * 0.99]])
+    sh = svd_spectral(conditioned_spectrum(5, 4, 2, d, seed=44), 2)[1]
+    assert svd_slices == [1]
+    assert np.abs(sh - d).max() <= 1e-13
+
+
+@pytest.mark.parametrize("i3", [6, 7])
+def test_gram_chunks_are_bit_identical(i3, monkeypatch):
+    d = np.tile(np.linspace(2.0, 0.5, 5), (i3 // 2 + 1, 1))
+    d[1] = np.logspace(0, -8, 5)
+    h = conditioned_spectrum(9, 7, i3, d, seed=46)
+    whole = svd_spectral(h, 3)
+    monkeypatch.setattr(tubal.decomp, "GRAM_BLOCK_BYTES", 1)
+    for a, b in zip(whole, svd_spectral(h, 3)):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------- tubal rank

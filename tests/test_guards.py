@@ -8,6 +8,7 @@ import importlib
 import json
 import pkgutil
 import re
+import tracemalloc
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -16,9 +17,12 @@ import numpy as np
 import pytest
 
 import tubal
+import tubal.decomp
 from tubal import (
     AdaptiveConfig,
+    RankOutOfRange,
     RngStream,
+    SpecInvalid,
     SyntheticSpec,
     adaptive_qb,
     frobenius_norm,
@@ -29,10 +33,11 @@ from tubal import (
     run_tsvd,
     save_pgm_stack,
     save_tns,
+    truncated_tsvd,
 )
 from tubal.cli import main
 from tubal.core import irfft_tubes, rfft_tubes
-from tubal.decomp import tsvd_factors
+from tubal.decomp import svd_spectral, tsvd_factors
 from tubal.randomized import trim_last_block
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
@@ -274,10 +279,45 @@ def test_only_a_met_bound_is_trimmed(trims, rand_tensor):
 def test_diagonal_s_matches_dense_construction(i3, rand_tensor):
     h = rfft_tubes(rand_tensor(9, 7, i3, seed=79))
     rank = 5
-    sh = np.linalg.svd(h, full_matrices=False)[1]
+    # The singular values tsvd_factors itself takes, from its slice-wise step.
+    sh = svd_spectral(h, rank)[1]
     dense = np.zeros((h.shape[0], rank, rank), dtype=np.complex128)
-    dense[:, np.arange(rank), np.arange(rank)] = sh[:, :rank]
+    dense[:, np.arange(rank), np.arange(rank)] = sh
     s = tsvd_factors(h, rank, i3).s
     assert s.shape == (rank, rank, i3)
     assert s.tobytes(order="F") == irfft_tubes(dense, i3).tobytes(order="F")
 
+
+def test_tsvd_factors_holds_no_full_factors(monkeypatch, rand_tensor):
+    # One slice per chunk: beside h, only rank-wide factors and one slice's Gram.
+    h = rfft_tubes(rand_tensor(48, 40, 16, seed=80))
+    monkeypatch.setattr(tubal.decomp, "GRAM_BLOCK_BYTES", 1)
+    tracemalloc.start()
+    try:
+        tsvd_factors(h, 4, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < h.nbytes
+
+
+REFUSED = {
+    "truncated_tsvd-zero": (lambda x: truncated_tsvd(x, 0), RankOutOfRange),
+    "truncated_tsvd-above": (lambda x: truncated_tsvd(x, 6), RankOutOfRange),
+    "run_tsvd": (lambda x: run_tsvd(x, 6), RankOutOfRange),
+    "randomized_tsvd": (lambda x: randomized_tsvd(x, 4, 2, 1, RngStream(0)), RankOutOfRange),
+    "randomized_tsvd-power": (lambda x: randomized_tsvd(x, 2, 1, -1, RngStream(0)),
+                              SpecInvalid),
+    "run_randomized": (lambda x: run_randomized(x, 0, 2, 1, RngStream(0)), RankOutOfRange),
+}
+
+
+@pytest.mark.parametrize("call", sorted(REFUSED))
+def test_bad_rank_is_refused_before_x_is_transformed(call, monkeypatch, rand_tensor):
+    def refuse(x):
+        raise AssertionError("x was transformed before its rank was checked")
+    for module in ("decomp", "randomized", "bench"):
+        monkeypatch.setattr(f"tubal.{module}.rfft_tubes", refuse)
+    run, error = REFUSED[call]
+    with pytest.raises(error):
+        run(rand_tensor(6, 5, 4, seed=81))
