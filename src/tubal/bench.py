@@ -5,10 +5,10 @@ rank-R tensor with Gaussian singular tubes, plateau-plus-polynomial and
 plateau-plus-exponential singular value decay, and two Hilbert-type
 tensors defined entrywise.  Runs wrap the library operations with a
 monotonic wall clock and always recompute the reported relative error
-from the factors, never from the energy recursion.  Every run takes
-||x||_F once, transforms x once, solves on that half spectrum xh with a
-spectral core, and reports the residual ||xh - l @ r|| of the result's
-spectral pair on the same xh, by residual_energy, over ||x||_F.
+from the factors, never from the energy recursion.  Every run lets x in
+by core.checked (||x||_F once, then the rank rule), transforms x once,
+solves on that half spectrum xh with a spectral core, and reports the
+residual ||xh - l @ r|| / ||x||_F of its spectral pair (residual_energy).
 """
 
 import csv
@@ -17,6 +17,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .core import (
     RngStream,
     adjoint,
     as_index,
-    as_tensor3,
+    checked,
     frobenius_norm,
     gaussian_tensor,
     irfft_tubes,
@@ -44,8 +45,8 @@ class SyntheticSpec:
 
     ``rank`` is the plateau width R of the singular profile and ``delta``
     the norm of the additive Gaussian noise; both are ignored by the
-    Hilbert cases, which are deterministic.  A non-integer n or rank
-    raises SpecInvalid.
+    Hilbert cases, which are deterministic.  A non-integer n or rank, or a
+    seed that is not an RngStream, raises SpecInvalid.
     """
 
     case: str
@@ -61,6 +62,8 @@ class SyntheticSpec:
             raise SpecInvalid(f"need n >= rank >= 1, got n={self.n}, rank={self.rank}")
         if not 0 <= self.delta < np.inf:
             raise SpecInvalid(f"delta must be finite and nonnegative, got {self.delta}")
+        if not isinstance(self.seed, RngStream):
+            raise SpecInvalid(f"seed must be an RngStream, got {self.seed!r}")
 
 
 def decay_profile(case: str, n: int, rank: int) -> np.ndarray:
@@ -213,13 +216,6 @@ def append_csv(report: RunReport, path) -> None:
         w.writerow(row)
 
 
-def _checked(x) -> tuple:
-    """(x, ||x||_F): x as float64, validated by as_tensor3 against its norm, taken once."""
-    x = np.asarray(x, dtype=np.float64)
-    nx = frobenius_norm(x)
-    return as_tensor3(x, nx), nx
-
-
 def _timed_report(x: np.ndarray, nx: float, method: str, solve, pair, epsilon=None,
                   block_size=None, power_iters=None, seed=None) -> RunReport:
     """Time xh = rfft_tubes(x) and solve(xh); report ||xh - l @ r|| / nx, (l, r) = pair(result).
@@ -247,7 +243,7 @@ def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False) -> RunRe
     finite raises SpecInvalid.  The report's result is the SpectralQB pair
     of adaptive_spectral, and its error the residual of (qh, bh).
     """
-    x, nx = _checked(x)
+    x, nx = checked(x, cfg.rank_cap)
     eps_abs = float(cfg.epsilon) * nx if rel else cfg.epsilon
     run_cfg = replace(cfg, epsilon=eps_abs)
     epsilon = {"absolute": eps_abs, "relative": eps_abs / nx if nx > 0 else None}
@@ -259,8 +255,7 @@ def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False) -> RunRe
 
 def run_tsvd(x: np.ndarray, rank: int) -> RunReport:
     """Run the deterministic truncated tubal SVD at a fixed rank and report it."""
-    x, nx = _checked(x)
-    check_rank(rank, *x.shape[:2])
+    x, nx = checked(x, partial(check_rank, rank))
     return _timed_report(x, nx, "tsvd", lambda xh: tsvd_factors(xh, rank, x.shape[2]),
                          spectral_pair)
 
@@ -268,8 +263,7 @@ def run_tsvd(x: np.ndarray, rank: int) -> RunReport:
 def run_randomized(x: np.ndarray, rank: int, oversample: int, power_iters: int,
                    seed: RngStream) -> RunReport:
     """Run the fixed-rank randomized tubal SVD and report it (library only, no CLI entry)."""
-    x, nx = _checked(x)
-    check_sketch(rank, oversample, power_iters, *x.shape[:2])
+    x, nx = checked(x, partial(check_sketch, rank, oversample, power_iters))
     return _timed_report(x, nx, "randomized",
                          lambda xh: randomized_spectral(xh, x.shape[2], nx, rank, oversample,
                                                         power_iters, seed),

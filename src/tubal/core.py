@@ -32,25 +32,36 @@ RFFT_BLOCK_BYTES = 16 * 2**20
 RESIDUAL_BLOCK_BYTES = 4 * 2**20
 
 
-def as_tensor3(data, norm: float | None = None) -> np.ndarray:
+def as_tensor3(data) -> np.ndarray:
     """Validate and coerce ``data`` to a well-formed third-order tensor.
 
     Raises DimMismatch for wrong dimensionality and NonFiniteData if any
-    entry is NaN or Inf.  The loaders and every decomposition or run that
-    takes x call this.  One that has already taken norm = ||x||_F passes
-    it, and the entries are not scanned again: a NaN or Inf entry makes
-    the norm non-finite, so an x whose norm overflows float64 is refused
-    too.
+    entry is NaN or Inf.  The loaders and every operation on x that needs
+    no ||x||_F call this; the entries that take the norm go through checked.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 3:
         raise DimMismatch(f"expected a third-order tensor, got ndim={x.ndim}")
-    if norm is None and not np.isfinite(x).all():
+    if not np.isfinite(x).all():
         raise NonFiniteData("tensor contains NaN or Inf entries")
-    if norm is not None and not np.isfinite(norm):
-        raise NonFiniteData("tensor contains NaN or Inf entries, or its Frobenius norm "
-                            "overflows float64")
     return x
+
+
+def checked(data, check) -> tuple:
+    """(x, ||x||_F) for the entries that take the norm: x as float64, norm taken once.
+
+    A non-third-order x raises DimMismatch and a non-finite norm (from a NaN
+    or Inf entry, or overflow) NonFiniteData; the entries are not scanned.
+    Then check(I1, I2), the caller's rank rule, runs: all before x is transformed.
+    """
+    x = np.asarray(data, dtype=np.float64)
+    if x.ndim != 3:
+        raise DimMismatch(f"expected a third-order tensor, got ndim={x.ndim}")
+    norm = frobenius_norm(x)
+    if not np.isfinite(norm):
+        raise NonFiniteData("tensor has NaN or Inf entries, or its norm overflows float64")
+    check(*x.shape[:2])
+    return x, norm
 
 
 def as_index(value, what: str, error: type = SpecInvalid) -> int:

@@ -5,9 +5,9 @@ the adaptive fixed-precision QB factorization that discovers the tubal
 rank from an error bound, and trim_last_block, the rule that trims the
 final block to the exact rank.  Each algorithm is a spectral core on the
 half spectrum of x, randomized_spectral or adaptive_spectral, behind a
-wrapper that validates x and transforms it once.  The package exports
-neither the cores nor trim_last_block; they are public so that the run
-reports can call them and the benchmark can trace them.
+wrapper that lets x in by core.checked and transforms it once.  The
+package exports neither the cores nor trim_last_block; they are public so
+that the run reports can call them and the benchmark can trace them.
 
 Both take each new block from one block step, which projects every
 product with x off the basis found so far, so each power round multiplies
@@ -23,6 +23,7 @@ so the residual is computed explicitly on the half spectrum instead.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -31,15 +32,14 @@ from .core import (
     RngStream,
     adjoint,
     as_index,
-    as_tensor3,
-    frobenius_norm,
+    checked,
     gaussian_tensor,
     irfft_tubes,
     residual_energy,
     rfft_tubes,
     row_energies,
 )
-from .decomp import TSVDFactors, orth_spectral, tsvd_factors
+from .decomp import TSVDFactors, check_rank, orth_spectral, tsvd_factors
 from .errors import DegenerateInput, NonFiniteData, RankOutOfRange, SpecInvalid
 
 # Below epsilon^2 = PRECISION_FLOOR_ULPS * ulp(1) * ||x||_F^2 the energy
@@ -56,7 +56,8 @@ class AdaptiveConfig:
     block_size columns are added per iteration; power_iters subspace
     rounds, each multiplying by the residual x - q*b, sharpen each block;
     max_rank caps the search (None means min(I1, I2) of the tensor being
-    factored).  A NaN, infinite, out-of-range or non-integer value raises SpecInvalid.
+    factored).  A NaN, infinite, out-of-range or non-integer value, or a
+    seed that is not an RngStream, raises SpecInvalid.
     """
 
     epsilon: float
@@ -74,6 +75,12 @@ class AdaptiveConfig:
             raise SpecInvalid(f"power_iters must be >= 0, got {self.power_iters}")
         if self.max_rank is not None and as_index(self.max_rank, "max_rank") < 1:
             raise SpecInvalid(f"max_rank must be >= 1, got {self.max_rank}")
+        if not isinstance(self.seed, RngStream):
+            raise SpecInvalid(f"seed must be an RngStream, got {self.seed!r}")
+
+    def rank_cap(self, i1: int, i2: int) -> int:
+        """The rank cap for an I1 x I2 x I3 tensor: max_rank, by check_rank, or min(I1, I2)."""
+        return min(i1, i2) if self.max_rank is None else check_rank(self.max_rank, i1, i2)
 
 
 class SpectralQB(NamedTuple):
@@ -153,19 +160,17 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     recovers the factors from the truncated t-SVD of the projection.
     randomized_spectral runs it all on the half spectrum of x, transformed once.
     """
-    x = np.asarray(x, dtype=np.float64)
-    norm = frobenius_norm(x)
-    i1, i2, i3 = as_tensor3(x, norm).shape
-    check_sketch(rank, oversample, power_iters, i1, i2)
-    return randomized_spectral(rfft_tubes(x), i3, norm, rank, oversample, power_iters, rng)
+    x, norm = checked(x, partial(check_sketch, rank, oversample, power_iters))
+    return randomized_spectral(rfft_tubes(x), x.shape[2], norm, rank, oversample, power_iters,
+                               rng)
 
 
-def check_sketch(rank, oversample, power_iters, i1: int, i2: int):
-    """(rank, oversample) as ints if they and power_iters are valid for an I1 x I2 x I3 tensor.
+def check_sketch(rank, oversample, power_iters, i1: int, i2: int) -> None:
+    """Refuse rank, oversample or power_iters if invalid for an I1 x I2 x I3 tensor.
 
     The rule of randomized_tsvd: 1 <= rank, 0 <= oversample and
     rank + oversample <= min(I1, I2), else RankOutOfRange; 0 <= power_iters,
-    else SpecInvalid.  The wrappers call it on x's shape before transforming x.
+    else SpecInvalid.  core.checked runs it at the entries, not randomized_spectral.
     """
     rank = as_index(rank, "rank", RankOutOfRange)
     oversample = as_index(oversample, "oversample", RankOutOfRange)
@@ -174,7 +179,6 @@ def check_sketch(rank, oversample, power_iters, i1: int, i2: int):
                              f"{min(i1, i2)}, got rank={rank}, oversample={oversample}")
     if as_index(power_iters, "power_iters") < 0:
         raise SpecInvalid(f"power_iters must be >= 0, got {power_iters}")
-    return rank, oversample
 
 
 def randomized_spectral(xh: np.ndarray, i3: int, norm: float, rank: int, oversample: int,
@@ -182,7 +186,6 @@ def randomized_spectral(xh: np.ndarray, i3: int, norm: float, rank: int, oversam
     """The algorithm of randomized_tsvd on xh = rfft_tubes(x), with i3 = I3 and norm = ||x||_F."""
     i1, i2 = xh.shape[1:]
     scale = _rms_scale(norm, i1 * i2 * i3)
-    rank, oversample = check_sketch(rank, oversample, power_iters, i1, i2)
     omega = rfft_tubes(gaussian_tensor(i2, rank + oversample, i3, rng))
     q = _next_block(xh, xh[:, :, :0], xh @ omega, i3, scale, power_iters, 0)
     return tsvd_factors(adjoint(q) @ xh, rank, i3, lift=q)
@@ -211,9 +214,8 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
     is re-orthonormalized against q twice more, and the final block is not
     trimmed.
     """
-    x = np.asarray(x, dtype=np.float64)
-    norm = frobenius_norm(x)
-    i3 = as_tensor3(x, norm).shape[2]
+    x, norm = checked(x, cfg.rank_cap)
+    i3 = x.shape[2]
     xh = rfft_tubes(x)
     qh, bh, trace, achieved = adaptive_spectral(xh, i3, norm, cfg, trim)
     # xh is held until q and b are inverted, so they are not placed in the
@@ -232,9 +234,7 @@ def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
     """
     i1, i2 = xh.shape[1:]
     scale = _rms_scale(norm, i1 * i2 * i3)
-    max_rank = min(i1, i2) if cfg.max_rank is None else cfg.max_rank
-    if max_rank > min(i1, i2):
-        raise RankOutOfRange(f"max_rank {max_rank} exceeds min(I1, I2) = {min(i1, i2)}")
+    max_rank = cfg.rank_cap(i1, i2)
     gen = cfg.seed.generator()
     eps2 = cfg.epsilon ** 2
 

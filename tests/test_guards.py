@@ -110,24 +110,33 @@ def x_transforms(monkeypatch):
 
 
 @pytest.fixture
+def x_norms(monkeypatch):
+    """Sizes of the tensors frobenius_norm is taken of, wherever it was imported."""
+    return _count_sizes(monkeypatch, "frobenius_norm", lambda t, _: np.size(t))
+
+
+@pytest.fixture
 def inverses(monkeypatch):
     """Sizes of the tensors irfft_tubes returns, wherever it was imported."""
     return _count_sizes(monkeypatch, "irfft_tubes", lambda _, out: out.size)
 
 
-def test_adaptive_transforms_x_once(x_transforms, rand_tensor):
+def test_adaptive_transforms_x_once(x_transforms, x_norms, rand_tensor):
     x = rand_tensor(30, 20, 6, seed=70)
     cfg = AdaptiveConfig(epsilon=0.05 * frobenius_norm(x), block_size=4,
                          power_iters=1, seed=RngStream(71))
+    x_norms.clear()
     qb = adaptive_qb(x, cfg)
     assert len(qb.energy_trace) > 2
     assert x_transforms.count(x.size) == 1
+    assert x_norms.count(x.size) == 1
 
 
-def test_randomized_tsvd_transforms_x_once(x_transforms, rand_tensor):
+def test_randomized_tsvd_transforms_x_once(x_transforms, x_norms, rand_tensor):
     x = rand_tensor(30, 20, 6, seed=72)
     randomized_tsvd(x, rank=5, oversample=3, power_iters=2, rng=RngStream(73))
     assert x_transforms.count(x.size) == 1
+    assert x_norms.count(x.size) == 1
 
 
 RUNS = {
@@ -139,12 +148,13 @@ RUNS = {
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_run_reports_transform_x_once(run, x_transforms, rand_tensor):
+def test_run_reports_transform_x_once(run, x_transforms, x_norms, rand_tensor):
     # Every report solves and measures its error on the same spectrum of x.
     x = rand_tensor(30, 20, 6, seed=81)
     report = RUNS[run](x)
     assert report.estimated_rank > 0 and 0 < report.relative_error < 1
     assert x_transforms.count(x.size) == 1
+    assert x_norms.count(x.size) == 1
 
 
 def test_exact_lowrank_generator_transforms_only_kept_slices(x_transforms):
@@ -171,11 +181,9 @@ def test_cli_adaptive_job_transforms_only_x(x_transforms, tmp_path, rand_tensor)
     assert max(s for s in x_transforms if s != x.size) <= 20 * 4 * 6
 
 
-def test_cli_adaptive_job_inverts_nothing_x_sized(inverses, monkeypatch, tmp_path,
-                                                 rand_tensor):
+def test_cli_adaptive_job_inverts_nothing_x_sized(inverses, x_norms, tmp_path, rand_tensor):
     # The error is measured on the half spectrum: no x-sized inverse
     # transform, and the norm of x is taken once per job.
-    norms = _count_sizes(monkeypatch, "frobenius_norm", lambda t, _: np.size(t))
     x = rand_tensor(30, 20, 6, seed=80)
     save_tns(x, tmp_path / "x.tns")
     code = main(["adaptive", "--in", str(tmp_path / "x.tns"), "--eps", "0.3", "--rel",
@@ -183,7 +191,7 @@ def test_cli_adaptive_job_inverts_nothing_x_sized(inverses, monkeypatch, tmp_pat
                  "--out", str(tmp_path / "r.json"), "--save-factors", str(tmp_path / "f")])
     assert code == 0 and (tmp_path / "f.S.tns").exists()
     assert inverses and x.size not in inverses
-    assert norms.count(x.size) == 1
+    assert x_norms.count(x.size) == 1
 
 
 def test_cli_compress_forms_one_reconstruction(inverses, tmp_path, rand_tensor):
@@ -309,6 +317,11 @@ REFUSED = {
     "randomized_tsvd-power": (lambda x: randomized_tsvd(x, 2, 1, -1, RngStream(0)),
                               SpecInvalid),
     "run_randomized": (lambda x: run_randomized(x, 0, 2, 1, RngStream(0)), RankOutOfRange),
+    # The rank cap max_rank <= min(I1, I2) is the adaptive algorithm's rank rule.
+    "adaptive_qb": (lambda x: adaptive_qb(x, AdaptiveConfig(1e-3, 2, max_rank=6)),
+                    RankOutOfRange),
+    "run_adaptive": (lambda x: run_adaptive(x, AdaptiveConfig(1e-3, 2, max_rank=6)),
+                     RankOutOfRange),
 }
 
 
@@ -321,3 +334,16 @@ def test_bad_rank_is_refused_before_x_is_transformed(call, monkeypatch, rand_ten
     run, error = REFUSED[call]
     with pytest.raises(error):
         run(rand_tensor(6, 5, 4, seed=81))
+
+
+SEEDED = {
+    "AdaptiveConfig": lambda seed: AdaptiveConfig(epsilon=0.1, block_size=2, seed=seed),
+    "SyntheticSpec": lambda seed: SyntheticSpec(case="exact-lowrank", n=6, seed=seed),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SEEDED))
+def test_seed_that_is_not_an_rng_stream_is_refused(spec):
+    # Unchecked, an int seed raised AttributeError at its first draw, after x was transformed.
+    with pytest.raises(SpecInvalid, match="RngStream"):
+        SEEDED[spec](5)
