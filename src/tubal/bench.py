@@ -126,7 +126,7 @@ def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
         u0 = np.linalg.qr(a.sum(axis=2))[0]
         v0 = np.linalg.qr(b.sum(axis=2))[0]
         m = (u0 * decay_profile(spec.case, n, r)) @ v0.T
-        # irfft_tubes' layout: frontal slices outermost, rows C-ordered.
+        # irfft_tubes' default layout: frontal slices outermost, rows C-ordered.
         x = np.tile(m, (n, 1, 1)).transpose(1, 2, 0)
     if spec.delta > 0:
         noise = gaussian_tensor(n, n, n, gen)
@@ -256,7 +256,7 @@ def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False) -> RunRe
 def run_tsvd(x: np.ndarray, rank: int) -> RunReport:
     """Run the deterministic truncated tubal SVD at a fixed rank and report it."""
     x, nx = checked(x, partial(check_rank, rank))
-    return _timed_report(x, nx, "tsvd", lambda xh: tsvd_factors(xh, rank, x.shape[2]),
+    return _timed_report(x, nx, "tsvd", lambda xh: tsvd_factors(xh, rank, x.shape[2], like=x),
                          spectral_pair)
 
 
@@ -266,5 +266,5 @@ def run_randomized(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     x, nx = checked(x, partial(check_sketch, rank, oversample, power_iters))
     return _timed_report(x, nx, "randomized",
                          lambda xh: randomized_spectral(xh, x.shape[2], nx, rank, oversample,
-                                                        power_iters, seed),
+                                                        power_iters, seed, like=x),
                          spectral_pair, power_iters=power_iters, seed=seed.seed)

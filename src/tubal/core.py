@@ -32,16 +32,25 @@ RFFT_BLOCK_BYTES = 16 * 2**20
 RESIDUAL_BLOCK_BYTES = 4 * 2**20
 
 
-def as_tensor3(data) -> np.ndarray:
-    """Validate and coerce ``data`` to a well-formed third-order tensor.
-
-    Raises DimMismatch for wrong dimensionality and NonFiniteData if any
-    entry is NaN or Inf.  The loaders and every operation on x that needs
-    no ||x||_F call this; the entries that take the norm go through checked.
-    """
+def _third_order(data) -> np.ndarray:
+    """data as float64 if it is third-order with I3 >= 1 (a tube of length 0 has no DFT)."""
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 3:
         raise DimMismatch(f"expected a third-order tensor, got ndim={x.ndim}")
+    if x.shape[2] == 0:
+        raise DimMismatch(f"expected at least one frontal slice, got shape {x.shape}")
+    return x
+
+
+def as_tensor3(data) -> np.ndarray:
+    """Validate and coerce ``data`` to a well-formed third-order tensor.
+
+    Raises DimMismatch for wrong dimensionality or no frontal slice (I3 = 0)
+    and NonFiniteData if any entry is NaN or Inf.  The loaders and every
+    operation on x that needs no ||x||_F call this; the entries that take
+    the norm go through checked.
+    """
+    x = _third_order(data)
     if not np.isfinite(x).all():
         raise NonFiniteData("tensor contains NaN or Inf entries")
     return x
@@ -50,13 +59,12 @@ def as_tensor3(data) -> np.ndarray:
 def checked(data, check) -> tuple:
     """(x, ||x||_F) for the entries that take the norm: x as float64, norm taken once.
 
-    A non-third-order x raises DimMismatch and a non-finite norm (from a NaN
-    or Inf entry, or overflow) NonFiniteData; the entries are not scanned.
+    A non-third-order x, or one with I3 = 0, raises DimMismatch and a
+    non-finite norm (from a NaN or Inf entry, or overflow) NonFiniteData;
+    the entries are not scanned.
     Then check(I1, I2), the caller's rank rule, runs: all before x is transformed.
     """
-    x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 3:
-        raise DimMismatch(f"expected a third-order tensor, got ndim={x.ndim}")
+    x = _third_order(data)
     norm = frobenius_norm(x)
     if not np.isfinite(norm):
         raise NonFiniteData("tensor has NaN or Inf entries, or its norm overflows float64")
@@ -89,13 +97,20 @@ def rfft_tubes(x: np.ndarray) -> np.ndarray:
     return h
 
 
-def irfft_tubes(h: np.ndarray, i3: int) -> np.ndarray:
+def irfft_tubes(h: np.ndarray, i3: int, like=None) -> np.ndarray:
     """Real (I1, I2, I3) tensor whose half spectrum is the (K, I1, I2) stack h.
 
-    The result's frontal slices are contiguous C-ordered matrices: strides
-    (8*I2, 8, 8*I1*I2).
+    like is the tensor the result derives from, and picks its memory order:
+    if like is C-contiguous the result is C-ordered (contiguous tubes), as
+    x - y and the tube transforms are slow across mismatched strides.  By
+    default, and for any other like, the result's frontal slices are
+    contiguous C-ordered matrices: strides (8*I2, 8, 8*I1*I2).  The values
+    are the same bit for bit either way.
     """
-    return np.fft.irfft(np.moveaxis(h, 0, 2), n=i3, axis=2)
+    tubes = np.moveaxis(h, 0, 2)
+    if like is None or not np.asarray(like).flags.c_contiguous:
+        return np.fft.irfft(tubes, n=i3, axis=2)
+    return np.fft.irfft(tubes, n=i3, axis=2, out=np.empty(tubes.shape[:2] + (i3,)))
 
 
 def _parseval_weights(k: int, i3: int) -> np.ndarray:

@@ -56,7 +56,7 @@ def t_qr(x: np.ndarray):
     """Tubal QR: returns (q, r) with x = q * r and q of shape (I1, min(I1,I2), I3)."""
     x = as_tensor3(x)
     qh, rh = np.linalg.qr(rfft_tubes(x))
-    return irfft_tubes(qh, x.shape[2]), irfft_tubes(rh, x.shape[2])
+    return irfft_tubes(qh, x.shape[2], like=x), irfft_tubes(rh, x.shape[2], like=x)
 
 
 def orth_spectral(h: np.ndarray, i3: int, scale: float = 1.0) -> np.ndarray:
@@ -79,7 +79,7 @@ def orth(x: np.ndarray) -> np.ndarray:
     be arbitrary.
     """
     x = as_tensor3(x)
-    return irfft_tubes(orth_spectral(rfft_tubes(x), x.shape[2]), x.shape[2])
+    return irfft_tubes(orth_spectral(rfft_tubes(x), x.shape[2]), x.shape[2], like=x)
 
 
 def check_rank(rank, i1: int, i2: int) -> int:
@@ -151,12 +151,14 @@ def svd_spectral(h: np.ndarray, rank: int):
     return u, s, vh
 
 
-def tsvd_factors(h: np.ndarray, rank: int, i3: int, lift=None) -> TSVDFactors:
+def tsvd_factors(h: np.ndarray, rank: int, i3: int, lift=None, like=None) -> TSVDFactors:
     """Rank-R tubal SVD factors of the tensor with half spectrum h, by svd_spectral.
 
     With lift, a (K, I1, M) spectral stack with orthonormal columns, h is
     the projection lift^H x of some x and u is lifted to lift @ u.  Raises
     RankOutOfRange unless 1 <= rank <= min(M, I2) for h of shape (K, M, I2).
+    like, the tensor the factors derive from, picks the memory order of u
+    and v as in irfft_tubes; s is always C-ordered.
     """
     rank = check_rank(rank, *h.shape[1:])
     uh, sh, vhh = svd_spectral(h, rank)
@@ -166,7 +168,8 @@ def tsvd_factors(h: np.ndarray, rank: int, i3: int, lift=None) -> TSVDFactors:
     s = np.zeros((rank, rank, i3))
     idx = np.arange(rank)
     s[idx, idx] = np.fft.irfft(sh, n=i3, axis=0).T
-    return TSVDFactors(u=irfft_tubes(uh, i3), s=s, v=irfft_tubes(adjoint(vhh), i3))
+    return TSVDFactors(u=irfft_tubes(uh, i3, like=like), s=s,
+                       v=irfft_tubes(adjoint(vhh), i3, like=like))
 
 
 def truncated_tsvd(x: np.ndarray, rank: int) -> TSVDFactors:
@@ -176,7 +179,7 @@ def truncated_tsvd(x: np.ndarray, rank: int) -> TSVDFactors:
     """
     x = as_tensor3(x)
     check_rank(rank, *x.shape[:2])
-    return tsvd_factors(rfft_tubes(x), rank, x.shape[2])
+    return tsvd_factors(rfft_tubes(x), rank, x.shape[2], like=x)
 
 
 def spectral_pair(f: TSVDFactors):
@@ -186,7 +189,7 @@ def spectral_pair(f: TSVDFactors):
 
 def reconstruct(f: TSVDFactors) -> np.ndarray:
     """Multiply the factors back together: u * s * transpose(v)."""
-    return irfft_tubes(np.matmul(*spectral_pair(f)), f.u.shape[2])
+    return irfft_tubes(np.matmul(*spectral_pair(f)), f.u.shape[2], like=f.u)
 
 
 def tubal_rank(x: np.ndarray) -> int:

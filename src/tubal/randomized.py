@@ -162,7 +162,7 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     """
     x, norm = checked(x, partial(check_sketch, rank, oversample, power_iters))
     return randomized_spectral(rfft_tubes(x), x.shape[2], norm, rank, oversample, power_iters,
-                               rng)
+                               rng, like=x)
 
 
 def check_sketch(rank, oversample, power_iters, i1: int, i2: int) -> None:
@@ -182,13 +182,16 @@ def check_sketch(rank, oversample, power_iters, i1: int, i2: int) -> None:
 
 
 def randomized_spectral(xh: np.ndarray, i3: int, norm: float, rank: int, oversample: int,
-                        power_iters: int, rng) -> TSVDFactors:
-    """The algorithm of randomized_tsvd on xh = rfft_tubes(x), with i3 = I3 and norm = ||x||_F."""
+                        power_iters: int, rng, like=None) -> TSVDFactors:
+    """The algorithm of randomized_tsvd on xh = rfft_tubes(x), with i3 = I3 and norm = ||x||_F.
+
+    like (x itself, say) picks the memory order of u and v, as in tsvd_factors.
+    """
     i1, i2 = xh.shape[1:]
     scale = _rms_scale(norm, i1 * i2 * i3)
     omega = rfft_tubes(gaussian_tensor(i2, rank + oversample, i3, rng))
     q = _next_block(xh, xh[:, :, :0], xh @ omega, i3, scale, power_iters, 0)
-    return tsvd_factors(adjoint(q) @ xh, rank, i3, lift=q)
+    return tsvd_factors(adjoint(q) @ xh, rank, i3, lift=q, like=like)
 
 
 def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBApprox:
@@ -201,7 +204,8 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
     recursion instead of forming the residual.  On success the final block
     is trimmed slice by slice to the smallest rank still meeting the bound
     (trim=False keeps whole blocks, e.g. to inspect the trace).  x is
-    transformed once; q and b grow, and are trimmed, on its half spectrum.
+    transformed once; q and b grow, and are trimmed, on its half spectrum,
+    and are C-ordered if x is (else in irfft_tubes' default layout).
 
     If the rank cap is reached first, the best factorization found is
     returned with achieved=False, as it is when a sketch is degenerate
@@ -221,8 +225,8 @@ def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBAppr
     # xh is held until q and b are inverted, so they are not placed in the
     # memory xh frees: a caller's later x-sized temporaries (x - q*b) reuse
     # it instead of growing the heap and page-faulting on every product.
-    return QBApprox(q=irfft_tubes(qh, i3), b=irfft_tubes(bh, i3), energy_trace=trace,
-                    achieved=achieved)
+    return QBApprox(q=irfft_tubes(qh, i3, like=x), b=irfft_tubes(bh, i3, like=x),
+                    energy_trace=trace, achieved=achieved)
 
 
 def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
@@ -296,4 +300,4 @@ def qb_to_tsvd(qb: QBApprox, rank="all") -> TSVDFactors:
         raise RankOutOfRange("qb has rank 0, so there are no factors: ||x||_F was "
                              "already below epsilon, or x is numerically zero")
     return tsvd_factors(rfft_tubes(qb.b), qb.rank if rank == "all" else rank, qb.b.shape[2],
-                        lift=rfft_tubes(qb.q))
+                        lift=rfft_tubes(qb.q), like=qb.q)

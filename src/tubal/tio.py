@@ -29,9 +29,11 @@ MAX_ELEMENTS = 2**48
 
 
 def save_tns(x: np.ndarray, path) -> None:
-    """Write a tensor to ``path`` in TNS1 format."""
+    """Write a tensor to ``path`` in TNS1 format; load_tns, too, needs every dimension >= 1."""
     x = as_tensor3(x)
     i1, i2, i3 = x.shape
+    if min(i1, i2, i3) < 1:
+        raise DimMismatch(f"TNS1 dimensions must be >= 1, got {x.shape}")
     header = TNS_MAGIC + np.array([i1, i2, i3], dtype="<u8").tobytes()
     with open(path, "wb") as f:
         f.write(header)

@@ -17,6 +17,8 @@ from .errors import DimMismatch
 def _check_conformable(x: np.ndarray, y: np.ndarray) -> None:
     if x.ndim != 3 or y.ndim != 3:
         raise DimMismatch("t-product operands must be third-order tensors")
+    if x.shape[2] == 0:
+        raise DimMismatch(f"t-product operands need I3 >= 1, got shape {x.shape}")
     if x.shape[1] != y.shape[0] or x.shape[2] != y.shape[2]:
         raise DimMismatch(
             f"t-product needs (I1,I2,I3)*(I2,I4,I3), got {x.shape} * {y.shape}"
@@ -24,11 +26,14 @@ def _check_conformable(x: np.ndarray, y: np.ndarray) -> None:
 
 
 def tprod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """t-product x * y of an (I1,I2,I3) tensor with an (I2,I4,I3) tensor."""
+    """t-product x * y of an (I1,I2,I3) tensor with an (I2,I4,I3) tensor.
+
+    The result is C-ordered if x is, else in irfft_tubes' default layout.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_conformable(x, y)
-    return irfft_tubes(rfft_tubes(x) @ rfft_tubes(y), x.shape[2])
+    return irfft_tubes(rfft_tubes(x) @ rfft_tubes(y), x.shape[2], like=x)
 
 
 def is_orthogonal(q: np.ndarray, tol: float) -> bool:

@@ -20,3 +20,13 @@ def naive_dft_tubes(x: np.ndarray) -> np.ndarray:
         for j in range(i3):
             out[:, :, k] += x[:, :, j] * np.exp(-2j * np.pi * j * k / i3)
     return out
+
+
+def slice_major(x: np.ndarray) -> np.ndarray:
+    """x with contiguous C-ordered frontal slices: strides (8*I2, 8, 8*I1*I2)."""
+    return np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+# The memory layouts a tensor reaches the library in: C-ordered (contiguous
+# tubes), Fortran-ordered (load_tns) and slice-major (irfft_tubes' default).
+LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray, "slice-major": slice_major}

@@ -19,6 +19,7 @@ from tubal import (
     run_adaptive,
     run_randomized,
     run_tsvd,
+    save_tns,
     t_qr,
     tprod,
     transpose,
@@ -26,7 +27,7 @@ from tubal import (
     tubal_rank,
 )
 from tubal.core import concat_mode1, concat_mode2, irfft_tubes, residual_energy, rfft_tubes
-from conftest import naive_dft_tubes
+from conftest import LAYOUTS, naive_dft_tubes
 from references import ImaginaryResidue, dft_tubes, idft_tubes, tprod_oracle
 
 dims = st.integers(min_value=1, max_value=6)
@@ -245,21 +246,36 @@ def test_constructors_refuse_bad_dimensions(make):
 
 @pytest.mark.parametrize("i3", [7, 8])
 def test_rfft_tubes_row_blocks_bit_identical(i3, monkeypatch, rand_tensor):
-    x = np.asfortranarray(rand_tensor(11, 5, i3, seed=90))
-    whole = np.ascontiguousarray(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0))
-    row_bytes = 16 * (i3 // 2 + 1) * 5
-    for budget in (row_bytes * 11, row_bytes * 4, row_bytes, 1):
-        monkeypatch.setattr(tubal.core, "RFFT_BLOCK_BYTES", budget)
-        h = rfft_tubes(x)
-        assert h.flags.c_contiguous and h.shape == whole.shape
-        assert h.tobytes() == whole.tobytes()
+    # Library results reach rfft_tubes in every layout: C-ordered from a
+    # C-ordered x, slice-major otherwise, F-ordered from load_tns.
+    for make in LAYOUTS.values():
+        x = make(rand_tensor(11, 5, i3, seed=90))
+        whole = np.ascontiguousarray(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0))
+        row_bytes = 16 * (i3 // 2 + 1) * 5
+        for budget in (row_bytes * 11, row_bytes * 4, row_bytes, 1):
+            monkeypatch.setattr(tubal.core, "RFFT_BLOCK_BYTES", budget)
+            h = rfft_tubes(x)
+            assert h.flags.c_contiguous and h.shape == whole.shape
+            assert h.tobytes() == whole.tobytes()
 
 
 def test_irfft_tubes_layout(rand_tensor):
-    # Frontal slices are contiguous C-ordered matrices; gen_synthetic builds
-    # its decay cases in this layout.
-    x = irfft_tubes(rfft_tubes(rand_tensor(5, 4, 7, seed=91)), 7)
-    assert x.shape == (5, 4, 7) and x.strides == (8 * 4, 8, 8 * 5 * 4)
+    # By default, and for a like that is not C-contiguous, frontal slices are
+    # contiguous C-ordered matrices; gen_synthetic builds its decay cases in
+    # this layout.  A C-contiguous like gives a C-ordered result, same values.
+    for i3 in (1, 6, 7):
+        x = rand_tensor(5, 4, i3, seed=91)
+        h = rfft_tubes(x)
+        default = irfft_tubes(h, i3)
+        for like in (None, np.asfortranarray(x)):
+            y = irfft_tubes(h, i3, like=like)
+            # The stride of a length-1 axis is arbitrary.
+            assert y.shape == (5, 4, i3) and y.strides[:2] == (8 * 4, 8)
+            assert i3 == 1 or y.strides[2] == 8 * 5 * 4
+            assert y.tobytes() == default.tobytes()
+        y = irfft_tubes(h, i3, like=np.ascontiguousarray(x))
+        assert y.shape == (5, 4, i3) and y.flags.c_contiguous
+        assert y.tobytes() == default.tobytes()
 
 
 # ------------------------------------------------------------ residual energy
@@ -336,6 +352,16 @@ def test_entries_refuse_non_finite_data(entry, bad):
 def test_entries_refuse_non_3d_data(entry):
     with pytest.raises(DimMismatch):
         ENTRIES[entry](gaussian_tensor(20, 15, 1, RngStream(1))[:, :, 0])
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES) + ["save_tns", "tprod"])
+def test_entries_refuse_a_tensor_with_no_frontal_slices(entry, tmp_path):
+    # Unchecked, the tube transform leaked numpy's "Invalid number of FFT data
+    # points (0)", and save_tns wrote a file that load_tns refused.
+    call = {"save_tns": lambda x: save_tns(x, tmp_path / "x.tns"),
+            "tprod": lambda x: tprod(x, x)}.get(entry) or ENTRIES[entry]
+    with pytest.raises(DimMismatch):
+        call(np.zeros((3, 3, 0)))
 
 
 # numpy warns as the sum of squares overflows; the entry then refuses x.

@@ -1,8 +1,9 @@
 """Structural guards: what the benchmark traces exists, the exports are the README's
 list and hold no test reference, the README's quick start runs, x is transformed once
 per run and per run report, the CLI job stays on the half spectrum, the exact-lowrank
-generator transforms only the lateral slices it keeps, and the core runs the one trim
-rule once per run that meets its bound."""
+generator transforms only the lateral slices it keeps, the core runs the one trim
+rule once per run that meets its bound, and results derived from x keep its memory
+order."""
 
 import importlib
 import json
@@ -27,18 +28,24 @@ from tubal import (
     adaptive_qb,
     frobenius_norm,
     gen_synthetic,
+    orth,
+    qb_to_tsvd,
     randomized_tsvd,
+    reconstruct,
     run_adaptive,
     run_randomized,
     run_tsvd,
     save_pgm_stack,
     save_tns,
+    t_qr,
+    tprod,
     truncated_tsvd,
 )
 from tubal.cli import main
 from tubal.core import irfft_tubes, rfft_tubes
 from tubal.decomp import svd_spectral, tsvd_factors
 from tubal.randomized import trim_last_block
+from conftest import LAYOUTS
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 README = BENCHMARK.parent / "README.md"
@@ -91,8 +98,8 @@ def _count_sizes(monkeypatch, name, size_of):
     real = getattr(tubal.core, name)
     sizes = []
 
-    def counting(*args):
-        out = real(*args)
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
         sizes.append(size_of(args[0], out))
         return out
 
@@ -347,3 +354,36 @@ def test_seed_that_is_not_an_rng_stream_is_refused(spec):
     # Unchecked, an int seed raised AttributeError at its first draw, after x was transformed.
     with pytest.raises(SpecInvalid, match="RngStream"):
         SEEDED[spec](5)
+
+
+def _results_from(x, y, epsilon):
+    """Every time-domain tensor the entries derive from x, by name; y is tprod's other operand."""
+    qb = adaptive_qb(x, AdaptiveConfig(epsilon=epsilon, block_size=3, power_iters=1,
+                                       seed=RngStream(83)))
+    f = truncated_tsvd(x, 4)
+    out = {"adaptive_qb.q": qb.q, "adaptive_qb.b": qb.b, "tprod": tprod(x, y), "orth": orth(x),
+           "reconstruct": reconstruct(f)}
+    out["t_qr.q"], out["t_qr.r"] = t_qr(x)
+    for name, g in (("truncated_tsvd", f),
+                    ("randomized_tsvd", randomized_tsvd(x, 4, 2, 1, RngStream(84))),
+                    ("qb_to_tsvd", qb_to_tsvd(qb))):
+        out.update({f"{name}.u": g.u, f"{name}.s": g.s, f"{name}.v": g.v})
+    return out
+
+
+@pytest.mark.parametrize("i3", [6, 7])
+def test_results_keep_the_memory_order_of_x(i3, rand_tensor):
+    # Results are C-ordered exactly when x is, so x - y and the tube transforms
+    # of results never cross mismatched strides; s is built directly, C-ordered.
+    base, y = rand_tensor(12, 9, i3, seed=82), rand_tensor(9, 5, i3, seed=85)
+    eps = 0.3 * frobenius_norm(base)
+    want = {name: t.tobytes()
+            for name, t in _results_from(np.ascontiguousarray(base), y, eps).items()}
+    for layout, make in LAYOUTS.items():
+        x = make(base)
+        got = _results_from(x, y, eps)
+        assert got.keys() == want.keys()
+        for name, t in got.items():
+            assert t.tobytes() == want[name], (layout, name)
+            if not name.endswith(".s"):
+                assert t.flags.c_contiguous == (layout == "C"), (layout, name)

@@ -132,6 +132,14 @@ def test_tns_zero_dim_rejected(tmp_path):
         load_tns(path)
 
 
+@pytest.mark.parametrize("shape", [(0, 3, 3), (3, 0, 3), (3, 3, 0)], ids=["i1", "i2", "i3"])
+def test_tns_save_refuses_zero_dim(shape, tmp_path):
+    # Such a file was written, and load_tns then refused it with DimOverflow.
+    with pytest.raises(DimMismatch):
+        save_tns(np.zeros(shape), tmp_path / "t.tns")
+    assert not (tmp_path / "t.tns").exists()
+
+
 def test_tns_non_finite_rejected(tmp_path):
     path = tmp_path / "t.tns"
     dims = np.array([1, 1, 2], dtype="<u8")
