@@ -262,7 +262,12 @@ def run_tsvd(x: np.ndarray, rank: int) -> RunReport:
 
 def run_randomized(x: np.ndarray, rank: int, oversample: int, power_iters: int,
                    seed: RngStream) -> RunReport:
-    """Run the fixed-rank randomized tubal SVD and report it (library only, no CLI entry)."""
+    """Run the fixed-rank randomized tubal SVD and report it (library only, no CLI entry).
+
+    seed must be an RngStream, whose seed the report records, else SpecInvalid.
+    """
+    if not isinstance(seed, RngStream):
+        raise SpecInvalid(f"seed must be an RngStream, got {seed!r}")
     x, nx = checked(x, partial(check_sketch, rank, oversample, power_iters))
     return _timed_report(x, nx, "randomized",
                          lambda xh: randomized_spectral(xh, x.shape[2], nx, rank, oversample,

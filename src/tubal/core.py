@@ -23,10 +23,6 @@ import numpy as np
 
 from .errors import DimMismatch, NonFiniteData, SpecInvalid
 
-# rfft_tubes copies numpy's rfft output into the stack layout in row blocks
-# whose spectrum takes at most this many bytes, bounding the transient.
-RFFT_BLOCK_BYTES = 16 * 2**20
-
 # residual_energy forms the difference in blocks of at most this many bytes,
 # so measuring a residual makes no x-sized temporary.
 RESIDUAL_BLOCK_BYTES = 4 * 2**20
@@ -84,16 +80,14 @@ def rfft_tubes(x: np.ndarray) -> np.ndarray:
     """Half spectrum of a real (I1, I2, I3) tensor: the (K, I1, I2) stack of DFT slices 0..K-1.
 
     The other I3 - K slices are conjugate mirrors.  Slices are C-ordered
-    matrices, so slice products go straight to BLAS.  A half spectrum
-    larger than RFFT_BLOCK_BYTES is transformed and copied in blocks of
-    rows, so the transient beside the result stays within that budget.
+    matrices, so slice products go straight to BLAS.  numpy writes the
+    spectrum straight into the stack, so the transform allocates nothing
+    beside its result.
     """
     x = np.asarray(x, dtype=np.float64)
     i1, i2, i3 = x.shape
-    rows = max(RFFT_BLOCK_BYTES // max(16 * (i3 // 2 + 1) * i2, 1), 1)
     h = np.empty((i3 // 2 + 1, i1, i2), dtype=np.complex128)
-    for r in range(0, i1, rows):
-        h[:, r:r + rows] = np.moveaxis(np.fft.rfft(x[r:r + rows], axis=2), 2, 0)
+    np.fft.rfft(x, axis=2, out=np.moveaxis(h, 0, 2))
     return h
 
 
@@ -212,12 +206,13 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _resolve_generator(rng) -> np.random.Generator:
+def resolve_generator(rng) -> np.random.Generator:
+    """The generator of an RngStream, or rng itself if it is one; anything else raises SpecInvalid."""
     if isinstance(rng, RngStream):
         return rng.generator()
     if isinstance(rng, np.random.Generator):
         return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
+    raise SpecInvalid(f"rng must be an RngStream or a numpy Generator, got {rng!r}")
 
 
 def gaussian_tensor(i1: int, i2: int, i3: int, rng) -> np.ndarray:
@@ -225,5 +220,5 @@ def gaussian_tensor(i1: int, i2: int, i3: int, rng) -> np.ndarray:
     i1, i2, i3 = (as_index(d, "dimension", DimMismatch) for d in (i1, i2, i3))
     if min(i1, i2, i3) < 1:
         raise DimMismatch("gaussian tensor dimensions must be >= 1")
-    gen = _resolve_generator(rng)
+    gen = resolve_generator(rng)
     return gen.standard_normal(i1 * i2 * i3).reshape((i1, i2, i3), order="F")

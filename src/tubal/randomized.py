@@ -22,6 +22,7 @@ the precision floor: when epsilon^2 is within PRECISION_FLOOR_ULPS ulps of
 so the residual is computed explicitly on the half spectrum instead.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -35,6 +36,7 @@ from .core import (
     checked,
     gaussian_tensor,
     irfft_tubes,
+    resolve_generator,
     residual_energy,
     rfft_tubes,
     row_energies,
@@ -56,8 +58,9 @@ class AdaptiveConfig:
     block_size columns are added per iteration; power_iters subspace
     rounds, each multiplying by the residual x - q*b, sharpen each block;
     max_rank caps the search (None means min(I1, I2) of the tensor being
-    factored).  A NaN, infinite, out-of-range or non-integer value, or a
-    seed that is not an RngStream, raises SpecInvalid.
+    factored).  A NaN, infinite, out-of-range or non-integer value, an
+    epsilon whose square overflows float64, or a seed that is not an
+    RngStream, raises SpecInvalid.
     """
 
     epsilon: float
@@ -67,8 +70,10 @@ class AdaptiveConfig:
     seed: RngStream = field(default_factory=lambda: RngStream(0))
 
     def __post_init__(self):
-        if not 0 <= self.epsilon < np.inf:
-            raise SpecInvalid(f"epsilon must be finite and nonnegative, got {self.epsilon}")
+        # The algorithm compares squared energies, so epsilon ** 2 must be finite too.
+        if not 0 <= self.epsilon <= math.sqrt(np.finfo(np.float64).max):
+            raise SpecInvalid(f"epsilon must be nonnegative with a finite square, "
+                              f"got {self.epsilon}")
         if as_index(self.block_size, "block_size") < 1:
             raise SpecInvalid(f"block_size must be >= 1, got {self.block_size}")
         if as_index(self.power_iters, "power_iters") < 0:
@@ -159,10 +164,13 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     (orthonormalizing after every half-step for stability), projects, and
     recovers the factors from the truncated t-SVD of the projection.
     randomized_spectral runs it all on the half spectrum of x, transformed once.
+    rng is an RngStream or a numpy Generator; anything else raises
+    SpecInvalid before x is transformed.
     """
+    gen = resolve_generator(rng)
     x, norm = checked(x, partial(check_sketch, rank, oversample, power_iters))
     return randomized_spectral(rfft_tubes(x), x.shape[2], norm, rank, oversample, power_iters,
-                               rng, like=x)
+                               gen, like=x)
 
 
 def check_sketch(rank, oversample, power_iters, i1: int, i2: int) -> None:

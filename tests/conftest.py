@@ -1,7 +1,24 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from tubal import RngStream, gaussian_tensor
+
+# Every run draws the same examples and keeps no example database.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    # hypothesis still caches the constants of local source files; a
+    # temporary home, removed at the end of the session, keeps that cache
+    # out of the checkout.
+    home = tempfile.TemporaryDirectory(prefix="tubal-hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture

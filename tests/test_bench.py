@@ -175,8 +175,12 @@ def test_run_adaptive_absolute_mode(rand_tensor):
 
 
 def test_run_adaptive_refuses_overflowing_relative_bound(rand_tensor):
-    # eps * ||x||_F is inf, and a numpy eps warned as the product overflowed.
-    cfg = AdaptiveConfig(epsilon=np.float64(1e308), block_size=4, seed=RngStream(15))
+    # eps * ||x||_F was inf, and a numpy eps warned as the product overflowed;
+    # such an eps is now refused by the config, whose square must be finite.
+    with pytest.raises(SpecInvalid, match="finite"):
+        AdaptiveConfig(epsilon=np.float64(1e308), block_size=4)
+    # Here the product is finite but its square overflows.
+    cfg = AdaptiveConfig(epsilon=np.float64(1e154), block_size=4, seed=RngStream(15))
     with pytest.raises(SpecInvalid, match="finite"):
         run_adaptive(rand_tensor(20, 15, 4, seed=14), cfg, rel=True)
 

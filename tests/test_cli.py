@@ -184,7 +184,7 @@ def test_bad_magic_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [("--block", "0"), ("--eps", "-1"),
                                          ("--power", "-1"), ("--eps", "nan"),
-                                         ("--eps", "inf")])
+                                         ("--eps", "inf"), ("--eps", "1e160")])
 def test_invalid_adaptive_flag_exits_1(flag, value, tmp_path, capsys):
     tns = tmp_path / "x.tns"
     save_tns(gaussian_tensor(6, 5, 3, RngStream(8)), tns)
@@ -196,12 +196,15 @@ def test_invalid_adaptive_flag_exits_1(flag, value, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("tubal: error:")
 
 
-def test_relative_eps_overflow_exits_1(tmp_path, capsys):
-    # eps * ||x||_F overflows to inf, which once went into the report as Infinity.
+@pytest.mark.parametrize("eps", ["1e308", "1e300"])
+def test_relative_eps_overflow_exits_1(eps, tmp_path, capsys):
+    # eps * ||x||_F overflows to inf, which once went into the report as
+    # Infinity; at 1e300 the product is finite but its square overflowed
+    # into a traceback.
     tns = tmp_path / "x.tns"
     save_tns(gaussian_tensor(12, 10, 3, RngStream(8)), tns)
     out = tmp_path / "r.json"
-    code = run_cli("adaptive", "--in", tns, "--out", out, "--eps", "1e308", "--rel")
+    code = run_cli("adaptive", "--in", tns, "--out", out, "--eps", eps, "--rel")
     assert code == 1 and not out.exists()
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("tubal: error:")

@@ -316,6 +316,21 @@ def test_tsvd_factors_holds_no_full_factors(monkeypatch, rand_tensor):
     assert peak < h.nbytes
 
 
+def test_rfft_tubes_allocates_only_its_stack(rand_tensor):
+    # numpy writes the spectrum into the stack: no second half spectrum beside it.
+    base = rand_tensor(48, 40, 16, seed=86)
+    for layout, make in LAYOUTS.items():
+        x = make(base)
+        rfft_tubes(x)  # numpy's first transform of a length caches its plan
+        tracemalloc.start()
+        try:
+            h = rfft_tubes(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < h.nbytes + 2**14, layout
+
+
 REFUSED = {
     "truncated_tsvd-zero": (lambda x: truncated_tsvd(x, 0), RankOutOfRange),
     "truncated_tsvd-above": (lambda x: truncated_tsvd(x, 6), RankOutOfRange),
@@ -344,16 +359,26 @@ def test_bad_rank_is_refused_before_x_is_transformed(call, monkeypatch, rand_ten
 
 
 SEEDED = {
-    "AdaptiveConfig": lambda seed: AdaptiveConfig(epsilon=0.1, block_size=2, seed=seed),
-    "SyntheticSpec": lambda seed: SyntheticSpec(case="exact-lowrank", n=6, seed=seed),
+    "AdaptiveConfig": lambda seed, x: AdaptiveConfig(epsilon=0.1, block_size=2, seed=seed),
+    "SyntheticSpec": lambda seed, x: SyntheticSpec(case="exact-lowrank", n=6, seed=seed),
+    "randomized_tsvd": lambda seed, x: randomized_tsvd(x, 3, 2, 1, seed),
+    "run_randomized": lambda seed, x: run_randomized(x, 3, 2, 1, seed),
 }
 
 
 @pytest.mark.parametrize("spec", sorted(SEEDED))
-def test_seed_that_is_not_an_rng_stream_is_refused(spec):
-    # Unchecked, an int seed raised AttributeError at its first draw, after x was transformed.
+def test_seed_that_is_not_an_rng_stream_is_refused(spec, x_transforms, rand_tensor):
+    # Unchecked, an int seed raised TypeError or AttributeError at its first
+    # draw, after x was transformed.
     with pytest.raises(SpecInvalid, match="RngStream"):
-        SEEDED[spec](5)
+        SEEDED[spec](5, rand_tensor(8, 7, 4, seed=87))
+    assert not x_transforms
+
+
+def test_randomized_tsvd_takes_a_numpy_generator(rand_tensor):
+    x = rand_tensor(8, 7, 4, seed=87)
+    f = randomized_tsvd(x, 3, 2, 1, RngStream(88).generator())
+    assert f.u.tobytes() == randomized_tsvd(x, 3, 2, 1, RngStream(88)).u.tobytes()
 
 
 def _results_from(x, y, epsilon):

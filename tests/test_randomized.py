@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tubal import (
     AdaptiveConfig,
@@ -24,6 +25,7 @@ from tubal import (
 )
 from tubal.core import rfft_tubes
 from tubal.randomized import adaptive_spectral, trim_last_block
+from conftest import LAYOUTS
 from references import blocked_randqb_matrix
 
 
@@ -155,6 +157,31 @@ def test_adaptive_tolerance_contract(rand_tensor):
         qb = adaptive_qb(x, cfg)
         if qb.achieved:
             assert qb_error(x, qb) <= eps_rel * nx * (1 + 1e-6)
+
+
+DATA = {
+    "gaussian": lambda shape, gen: gaussian_tensor(*shape, gen),
+    "low-rank": lambda shape, gen: tprod(gaussian_tensor(shape[0], 2, shape[2], gen),
+                                         gaussian_tensor(2, shape[1], shape[2], gen)),
+    "hilbert": lambda shape, gen: hilbert_tensor(1, max(shape))[:shape[0], :shape[1], :shape[2]],
+}
+
+
+@settings(max_examples=600)
+@given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 8)),
+       block=st.integers(1, 6), power=st.integers(0, 3), scale_exp=st.floats(-12, 12),
+       layout=st.sampled_from(sorted(LAYOUTS)), data=st.sampled_from(sorted(DATA)),
+       eps_exp=st.floats(-12, np.log10(0.9)), seed=st.integers(0, 2**32))
+def test_achieved_meets_the_bound_when_recomputed(shape, block, power, scale_exp, layout,
+                                                  data, eps_exp, seed):
+    # The contract: achieved implies the recomputed ||x - q*b||_F <= epsilon.
+    # Below eps_rel ~ 6e-16 the energy recursion cannot certify it (ROADMAP item 2c).
+    x = LAYOUTS[layout](10.0 ** scale_exp * DATA[data](shape, RngStream(seed).generator()))
+    eps = 10.0 ** eps_exp * frobenius_norm(x)
+    qb = adaptive_qb(x, AdaptiveConfig(epsilon=eps, block_size=block, power_iters=power,
+                                       seed=RngStream(seed)))
+    if qb.achieved:
+        assert frobenius_norm(x - tprod(qb.q, qb.b)) <= eps
 
 
 def test_adaptive_trace_strictly_decreases(rand_tensor):
@@ -360,6 +387,12 @@ def test_config_validation():
         AdaptiveConfig(epsilon=float("nan"), block_size=2)
     with pytest.raises(SpecInvalid, match="finite"):
         AdaptiveConfig(epsilon=float("inf"), block_size=2)
+    # epsilon ** 2 once raised OverflowError inside the run.
+    for eps in (1e160, 10 ** 400):
+        with pytest.raises(SpecInvalid, match="finite square"):
+            AdaptiveConfig(epsilon=eps, block_size=2)
+    qb = adaptive_qb(np.ones((3, 2, 2)), AdaptiveConfig(epsilon=1e154, block_size=2))
+    assert qb.achieved and qb.rank == 0
     with pytest.raises(SpecInvalid, match="block_size must be an integer"):
         AdaptiveConfig(epsilon=1.0, block_size=2.5)
     with pytest.raises(SpecInvalid, match="power_iters must be an integer"):
