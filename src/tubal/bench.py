@@ -25,6 +25,7 @@ from .core import (
     RngStream,
     adjoint,
     as_index,
+    check_seed,
     checked,
     frobenius_norm,
     gaussian_tensor,
@@ -62,8 +63,7 @@ class SyntheticSpec:
             raise SpecInvalid(f"need n >= rank >= 1, got n={self.n}, rank={self.rank}")
         if not 0 <= self.delta < np.inf:
             raise SpecInvalid(f"delta must be finite and nonnegative, got {self.delta}")
-        if not isinstance(self.seed, RngStream):
-            raise SpecInvalid(f"seed must be an RngStream, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 def decay_profile(case: str, n: int, rank: int) -> np.ndarray:
@@ -266,8 +266,7 @@ def run_randomized(x: np.ndarray, rank: int, oversample: int, power_iters: int,
 
     seed must be an RngStream, whose seed the report records, else SpecInvalid.
     """
-    if not isinstance(seed, RngStream):
-        raise SpecInvalid(f"seed must be an RngStream, got {seed!r}")
+    check_seed(seed)
     x, nx = checked(x, partial(check_sketch, rank, oversample, power_iters))
     return _timed_report(x, nx, "randomized",
                          lambda xh: randomized_spectral(xh, x.shape[2], nx, rank, oversample,

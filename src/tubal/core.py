@@ -23,12 +23,15 @@ import numpy as np
 
 from .errors import DimMismatch, NonFiniteData, SpecInvalid
 
-# residual_energy forms the difference in blocks of at most this many bytes,
-# so measuring a residual makes no x-sized temporary.
-RESIDUAL_BLOCK_BYTES = 4 * 2**20
+# The passes over an x-sized spectrum (residual_energy, decomp.svd_spectral)
+# take it in chunks of whole slices of at most this many bytes, or of one
+# slice if a slice is larger, so their temporaries stay x-independent.  Kept
+# small: with 8 MiB chunks of a 200^3 cube's spectrum, glibc kept 60 MB of
+# freed chunk memory resident in the heap after the t-SVD returned.
+CHUNK_BYTES = 2 * 2**20
 
 
-def _third_order(data) -> np.ndarray:
+def third_order(data) -> np.ndarray:
     """data as float64 if it is third-order with I3 >= 1 (a tube of length 0 has no DFT)."""
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 3:
@@ -46,7 +49,7 @@ def as_tensor3(data) -> np.ndarray:
     operation on x that needs no ||x||_F call this; the entries that take
     the norm go through checked.
     """
-    x = _third_order(data)
+    x = third_order(data)
     if not np.isfinite(x).all():
         raise NonFiniteData("tensor contains NaN or Inf entries")
     return x
@@ -60,7 +63,7 @@ def checked(data, check) -> tuple:
     the entries are not scanned.
     Then check(I1, I2), the caller's rank rule, runs: all before x is transformed.
     """
-    x = _third_order(data)
+    x = third_order(data)
     norm = frobenius_norm(x)
     if not np.isfinite(norm):
         raise NonFiniteData("tensor has NaN or Inf entries, or its norm overflows float64")
@@ -125,24 +128,27 @@ def row_energies(h: np.ndarray, i3: int) -> np.ndarray:
     return _parseval_weights(h.shape[0], i3) @ (h.real ** 2 + h.imag ** 2).sum(axis=2)
 
 
+def slice_chunks(h: np.ndarray):
+    """Consecutive chunks of whole slices of h: at most CHUNK_BYTES of h, or one slice."""
+    step = max(CHUNK_BYTES // max(h[0].nbytes, 1), 1)
+    return (slice(a, a + step) for a in range(0, h.shape[0], step))
+
+
 def residual_energy(xh: np.ndarray, qh: np.ndarray, bh: np.ndarray, i3: int) -> float:
     """Squared Frobenius norm of irfft_tubes(xh - qh @ bh, i3), by Parseval.
 
-    The difference is formed in blocks of whole slices, or of rows of one
-    slice when a slice alone is larger than RESIDUAL_BLOCK_BYTES, and is
-    subtracted into the block's product in place.
+    The difference is formed in the slice_chunks of xh, each subtracted
+    into its chunk's product in place, so the temporaries hold at most
+    max(CHUNK_BYTES, one slice of xh).
     """
-    k, i1, i2 = xh.shape
-    w = _parseval_weights(k, i3)
-    slices = max(RESIDUAL_BLOCK_BYTES // max(16 * i1 * i2, 1), 1)
-    rows = max(RESIDUAL_BLOCK_BYTES // max(16 * i2, 1), 1)
+    w = _parseval_weights(xh.shape[0], i3)
     total = 0.0
-    for s in range(0, k, slices):
-        for r in range(0, i1, rows):
-            d = qh[s:s + slices, r:r + rows] @ bh[s:s + slices]
-            np.subtract(xh[s:s + slices, r:r + rows], d, out=d)
-            v = d.reshape(d.shape[0], -1).view(np.float64)
-            total += float(w[s:s + slices] @ np.einsum("ij,ij->i", v, v))
+    for c in slice_chunks(xh):
+        d = qh[c] @ bh[c]
+        np.subtract(xh[c], d, out=d)
+        v = d.reshape(d.shape[0], -1).view(np.float64)
+        total += float(w[c] @ np.einsum("ij,ij->i", v, v))
+        del d, v  # before the next chunk's product is made
     return total
 
 
@@ -204,6 +210,12 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def check_seed(seed) -> None:
+    """Refuse a seed that is not an RngStream with SpecInvalid."""
+    if not isinstance(seed, RngStream):
+        raise SpecInvalid(f"seed must be an RngStream, got {seed!r}")
 
 
 def resolve_generator(rng) -> np.random.Generator:

@@ -4,10 +4,10 @@ Every factorization runs on the half-spectrum stack of rfft_tubes; the
 trailing slices are conjugate mirrors (singular values mirror without
 conjugation), so the inverse transform of the assembled half-spectrum is
 exactly real.  t-QR, orth and tubal_rank are one batched LAPACK call each.
-The truncated t-SVD (svd_spectral) goes over the slices in chunks of at
-most GRAM_BLOCK_BYTES of h: it takes the Gram of each slice's smaller
-side in one batched product, and the top-rank eigenpairs of that Gram
-give the singular values and one factor, a projection the other.  A slice
+The truncated t-SVD (svd_spectral) goes over the slices in
+core.slice_chunks: it takes the Gram of each slice's smaller side in one
+batched product, and the top-rank eigenpairs of that Gram give the
+singular values and one factor, a projection the other.  A slice
 whose spectrum cannot certify that result (GRAM_RTOL) is factored by SVD
 instead, and no factor wider than the rank is formed.
 """
@@ -16,18 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import adjoint, as_index, as_tensor3, irfft_tubes, rfft_tubes, row_energies
+from .core import (adjoint, as_index, as_tensor3, irfft_tubes, rfft_tubes, row_energies,
+                   slice_chunks)
 from .errors import DegenerateInput, RankOutOfRange
 
 # Entries this small relative to the data's scale carry no direction
 # information worth orthonormalizing.
 ZERO_INPUT_RTOL = 1e-14
-
-# svd_spectral takes h in chunks of whole slices of at most this many bytes,
-# which bounds the chunk's Gram and its conjugate copy of h as well.  Kept
-# small: with 8 MiB chunks of a 200^3 cube's spectrum, glibc kept 60 MB of
-# freed chunk memory resident in the heap after the t-SVD returned.
-GRAM_BLOCK_BYTES = 2 * 2**20
 
 # svd_spectral takes a slice's factors from its Gram only when the Gram's
 # r-th eigenvalue exceeds GRAM_RTOL times its largest (derivation there).
@@ -74,12 +69,13 @@ def orth_spectral(h: np.ndarray, i3: int, scale: float = 1.0) -> np.ndarray:
 def orth(x: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the lateral range of x (the Q part of t_qr).
 
-    Raises DegenerateInput when x is numerically zero (root-mean-square
-    entry at most ZERO_INPUT_RTOL), since any basis returned for it would
-    be arbitrary.
+    Raises DegenerateInput when x has no nonzero entry (measured against x
+    itself, that is numerically zero): any basis for it would be arbitrary.
     """
     x = as_tensor3(x)
-    return irfft_tubes(orth_spectral(rfft_tubes(x), x.shape[2]), x.shape[2], like=x)
+    if not x.any():
+        raise DegenerateInput("cannot orthonormalize a zero tensor")
+    return irfft_tubes(np.linalg.qr(rfft_tubes(x))[0], x.shape[2], like=x)
 
 
 def check_rank(rank, i1: int, i2: int) -> int:
@@ -98,8 +94,9 @@ def svd_spectral(h: np.ndarray, rank: int):
     np.linalg.svd returns them, so u * s @ vh is each slice's best
     rank-rank approximation.  rank must be in range.
 
-    Each chunk of slices takes the Gram g of its smaller side (h h^H if
-    M <= I2, else h^H h) and its eigenpairs (lam, w), largest first.  Then
+    Each of core.slice_chunks(h), whole slices of at most CHUNK_BYTES,
+    takes the Gram g of its slices' smaller side (h h^H if M <= I2, else
+    h^H h) and its eigenpairs (lam, w), largest first.  Then
     s = sqrt(lam), w is that side's factor and the other side's is the
     projection w^H h / s (or h w / s).  The Gram and eigh are backward
     stable: with lam_1 = s_1^2, w is orthonormal to working precision and
@@ -123,9 +120,7 @@ def svd_spectral(h: np.ndarray, rank: int):
     s = np.empty((k, rank))
     vh = np.empty((k, rank, n), dtype=np.complex128)
     top = slice(None, -rank - 1, -1)
-    step = max(GRAM_BLOCK_BYTES // (16 * m * n), 1)
-    for a in range(0, k, step):
-        c = slice(a, a + step)
+    for c in slice_chunks(h):
         hc, uc, sc, vhc = h[c], u[c], s[c], vh[c]
         with np.errstate(over="ignore", invalid="ignore"):
             g = hc @ adjoint(hc) if wide else adjoint(hc) @ hc
@@ -201,11 +196,7 @@ def tubal_rank(x: np.ndarray) -> int:
     examined.
     """
     x = as_tensor3(x)
-    if x.size == 0:
-        return 0
     svals = np.linalg.svd(rfft_tubes(x), compute_uv=False)
     smax = float(svals.max(initial=0.0))
-    if smax == 0.0:
-        return 0
     tol = max(x.shape[0], x.shape[1]) * np.spacing(smax)
     return int((svals > tol).sum(axis=1).max())

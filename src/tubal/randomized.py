@@ -33,6 +33,7 @@ from .core import (
     RngStream,
     adjoint,
     as_index,
+    check_seed,
     checked,
     gaussian_tensor,
     irfft_tubes,
@@ -80,8 +81,7 @@ class AdaptiveConfig:
             raise SpecInvalid(f"power_iters must be >= 0, got {self.power_iters}")
         if self.max_rank is not None and as_index(self.max_rank, "max_rank") < 1:
             raise SpecInvalid(f"max_rank must be >= 1, got {self.max_rank}")
-        if not isinstance(self.seed, RngStream):
-            raise SpecInvalid(f"seed must be an RngStream, got {self.seed!r}")
+        check_seed(self.seed)
 
     def rank_cap(self, i1: int, i2: int) -> int:
         """The rank cap for an I1 x I2 x I3 tensor: max_rank, by check_rank, or min(I1, I2)."""

@@ -10,15 +10,11 @@ there is no special case.
 
 import numpy as np
 
-from .core import adjoint, as_tensor3, irfft_tubes, rfft_tubes, row_energies
+from .core import adjoint, as_tensor3, irfft_tubes, rfft_tubes, row_energies, third_order
 from .errors import DimMismatch
 
 
 def _check_conformable(x: np.ndarray, y: np.ndarray) -> None:
-    if x.ndim != 3 or y.ndim != 3:
-        raise DimMismatch("t-product operands must be third-order tensors")
-    if x.shape[2] == 0:
-        raise DimMismatch(f"t-product operands need I3 >= 1, got shape {x.shape}")
     if x.shape[1] != y.shape[0] or x.shape[2] != y.shape[2]:
         raise DimMismatch(
             f"t-product needs (I1,I2,I3)*(I2,I4,I3), got {x.shape} * {y.shape}"
@@ -28,10 +24,11 @@ def _check_conformable(x: np.ndarray, y: np.ndarray) -> None:
 def tprod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """t-product x * y of an (I1,I2,I3) tensor with an (I2,I4,I3) tensor.
 
-    The result is C-ordered if x is, else in irfft_tubes' default layout.
+    Each operand must be third-order with I3 >= 1 (core.third_order) and
+    the two conformable, else DimMismatch; entries are not scanned.  The
+    result is C-ordered if x is, else in irfft_tubes' default layout.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = third_order(x), third_order(y)
     _check_conformable(x, y)
     return irfft_tubes(rfft_tubes(x) @ rfft_tubes(y), x.shape[2], like=x)
 

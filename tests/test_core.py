@@ -289,10 +289,10 @@ def test_residual_energy_matches_time_domain(i3, monkeypatch, rand_tensor):
     whole = residual_energy(xh, qh, bh, i3)
     assert whole == pytest.approx(inverse, rel=1e-13)
     assert whole == pytest.approx(oracle, rel=1e-12)
-    # Blocks of two slices, of one slice, of two rows of a slice, of one row.
+    # Chunks of two slices, of one slice, and of one slice when a slice exceeds the budget.
     slice_bytes = 16 * i1 * i2
-    for budget in (2 * slice_bytes, slice_bytes, 32 * i2, 1):
-        monkeypatch.setattr(tubal.core, "RESIDUAL_BLOCK_BYTES", budget)
+    for budget in (2 * slice_bytes, slice_bytes, 1):
+        monkeypatch.setattr(tubal.core, "CHUNK_BYTES", budget)
         assert residual_energy(xh, qh, bh, i3) == pytest.approx(whole, rel=1e-13)
 
 

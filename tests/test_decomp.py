@@ -21,6 +21,7 @@ from tubal import (
     truncated_tsvd,
     tubal_rank,
 )
+import tubal.core
 import tubal.decomp
 from tubal.core import adjoint, irfft_tubes, rfft_tubes
 from tubal.decomp import svd_spectral, tsvd_factors
@@ -115,6 +116,16 @@ def test_orth_of_orthogonal_keeps_projector(rand_tensor):
 def test_orth_zero_raises():
     with pytest.raises(DegenerateInput):
         orth(np.zeros((5, 3, 4)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_orth_is_scale_free(rand_tensor):
+    # Only a tensor with no nonzero entry is degenerate; tiny and huge scales
+    # neither raise nor overflow.
+    x = rand_tensor(9, 4, 5, seed=7)
+    q = orth(x)
+    for c in (1e-300, 1e-15, 1e160, 1e300):
+        assert np.abs(orth(c * x) - q).max() <= 1e-14, c
 
 
 # --------------------------------------------------------------------- t-SVD
@@ -319,7 +330,7 @@ def test_gram_chunks_are_bit_identical(i3, monkeypatch):
     d[1] = np.logspace(0, -8, 5)
     h = conditioned_spectrum(9, 7, i3, d, seed=46)
     whole = svd_spectral(h, 3)
-    monkeypatch.setattr(tubal.decomp, "GRAM_BLOCK_BYTES", 1)
+    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 1)
     for a, b in zip(whole, svd_spectral(h, 3)):
         assert a.tobytes() == b.tobytes()
 
@@ -331,7 +342,9 @@ def test_tubal_rank_identity():
 
 
 def test_tubal_rank_zero():
-    assert tubal_rank(np.zeros((4, 5, 3))) == 0
+    # A zero tensor, and tensors with no entry (I1 = 0 or I2 = 0), have rank 0.
+    for shape in ((4, 5, 3), (0, 5, 3), (4, 0, 3)):
+        assert tubal_rank(np.zeros(shape)) == 0, shape
 
 
 def test_tubal_rank_exact_construction():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import tubal
-import tubal.decomp
+import tubal.core
 from tubal import (
     AdaptiveConfig,
     RankOutOfRange,
@@ -42,7 +42,7 @@ from tubal import (
     truncated_tsvd,
 )
 from tubal.cli import main
-from tubal.core import irfft_tubes, rfft_tubes
+from tubal.core import adjoint, irfft_tubes, residual_energy, rfft_tubes
 from tubal.decomp import svd_spectral, tsvd_factors
 from tubal.randomized import trim_last_block
 from conftest import LAYOUTS
@@ -306,7 +306,7 @@ def test_diagonal_s_matches_dense_construction(i3, rand_tensor):
 def test_tsvd_factors_holds_no_full_factors(monkeypatch, rand_tensor):
     # One slice per chunk: beside h, only rank-wide factors and one slice's Gram.
     h = rfft_tubes(rand_tensor(48, 40, 16, seed=80))
-    monkeypatch.setattr(tubal.decomp, "GRAM_BLOCK_BYTES", 1)
+    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 1)
     tracemalloc.start()
     try:
         tsvd_factors(h, 4, 16)
@@ -314,6 +314,23 @@ def test_tsvd_factors_holds_no_full_factors(monkeypatch, rand_tensor):
     finally:
         tracemalloc.stop()
     assert peak < h.nbytes
+
+
+@pytest.mark.parametrize("shape", [(32, 32, 798), (384, 384, 2)])
+def test_residual_energy_holds_one_chunk(shape, rand_tensor):
+    # 400 slices of 16 KiB, or 2 slices each above the budget: the temporaries
+    # hold one chunk of products, CHUNK_BYTES or one slice, never all of xh.
+    i1, i2, i3 = shape
+    xh = rfft_tubes(rand_tensor(i1, i2, i3, seed=87))
+    qh = rfft_tubes(orth(rand_tensor(i1, 2, i3, seed=88)))
+    bh = adjoint(qh) @ xh
+    tracemalloc.start()
+    try:
+        residual_energy(xh, qh, bh, i3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(tubal.core.CHUNK_BYTES, xh[0].nbytes) + 2**16
 
 
 def test_rfft_tubes_allocates_only_its_stack(rand_tensor):
