@@ -8,7 +8,8 @@ monotonic wall clock and always recompute the reported relative error
 from the factors, never from the energy recursion.  Every run lets x in
 by core.checked (||x||_F once, then the rank rule), transforms x once,
 solves on that half spectrum xh with a spectral core, and reports the
-residual ||xh - l @ r|| / ||x||_F of its spectral pair (residual_energy).
+residual ||xh - l @ r|| / ||x||_F of its spectral pair (residual_energy),
+(qh, bh) or a t-SVD's (uh * sh, vhh), whose factors it inverts untimed.
 """
 
 import csv
@@ -33,9 +34,10 @@ from .core import (
     residual_energy,
     rfft_tubes,
 )
-from .decomp import check_rank, spectral_pair, tsvd_factors
+from .decomp import check_rank, svd_spectral, tsvd_factors
 from .errors import SpecInvalid
-from .randomized import AdaptiveConfig, adaptive_spectral, check_sketch, randomized_spectral
+from .randomized import (AdaptiveConfig, SpectralQB, adaptive_spectral, check_sketch,
+                         randomized_spectral)
 
 SYNTHETIC_CASES = ("exact-lowrank", "poly-decay", "exp-decay", "hilbert-1", "hilbert-2")
 
@@ -165,9 +167,9 @@ class RunReport:
     that take an error bound, None otherwise.  ``result`` carries the
     in-memory factorization for callers that need it, and is not
     serialized: TSVDFactors, or for an adaptive run the SpectralQB pair on
-    the half spectrum.  Every other field, in order, is the report's
-    schema: the JSON keys and, with epsilon split into its two values, the
-    CSV columns.
+    the half spectrum.  wall_time_ms times x's transform and the core
+    only.  Every other field, in order, is the report's schema: the JSON
+    keys and, with epsilon split into its two values, the CSV columns.
     """
 
     dims: tuple
@@ -216,9 +218,9 @@ def append_csv(report: RunReport, path) -> None:
         w.writerow(row)
 
 
-def _timed_report(x: np.ndarray, nx: float, method: str, solve, pair, epsilon=None,
+def _timed_report(x: np.ndarray, nx: float, method: str, solve, epsilon=None,
                   block_size=None, power_iters=None, seed=None) -> RunReport:
-    """Time xh = rfft_tubes(x) and solve(xh); report ||xh - l @ r|| / nx, (l, r) = pair(result).
+    """Time xh = rfft_tubes(x) and solve(xh); report ||xh - l @ r|| / nx for its pair (l, r).
 
     A result with an energy_trace (a QB run) reports it and its length.
     """
@@ -226,10 +228,15 @@ def _timed_report(x: np.ndarray, nx: float, method: str, solve, pair, epsilon=No
     xh = rfft_tubes(x)
     result = solve(xh)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    err = math.sqrt(residual_energy(xh, *pair(result), x.shape[2]))
+    if isinstance(result, SpectralQB):
+        left, right = result.qh, result.bh
+    else:  # A t-SVD triple (uh, sh, vhh); the report holds its TSVDFactors, inverted untimed.
+        left, right = result[0] * result[1][:, None, :], result[2]
+        result = tsvd_factors(*result, x.shape[2], like=x)
+    err = math.sqrt(residual_energy(xh, left, right, x.shape[2]))
     trace = getattr(result, "energy_trace", None)
     return RunReport(dims=x.shape, method=method, epsilon=epsilon, block_size=block_size,
-                     power_iters=power_iters, seed=seed, estimated_rank=result.rank,
+                     power_iters=power_iters, seed=seed, estimated_rank=right.shape[1],
                      relative_error=err / nx if nx > 0 else err, wall_time_ms=elapsed_ms,
                      iterations=None if trace is None else len(trace),
                      energy_trace=None if trace is None else list(trace), result=result)
@@ -249,15 +256,14 @@ def run_adaptive(x: np.ndarray, cfg: AdaptiveConfig, rel: bool = False) -> RunRe
     epsilon = {"absolute": eps_abs, "relative": eps_abs / nx if nx > 0 else None}
     return _timed_report(x, nx, "adaptive",
                          lambda xh: adaptive_spectral(xh, x.shape[2], nx, run_cfg),
-                         lambda qb: (qb.qh, qb.bh), epsilon=epsilon, seed=cfg.seed.seed,
+                         epsilon=epsilon, seed=cfg.seed.seed,
                          block_size=cfg.block_size, power_iters=cfg.power_iters)
 
 
 def run_tsvd(x: np.ndarray, rank: int) -> RunReport:
     """Run the deterministic truncated tubal SVD at a fixed rank and report it."""
     x, nx = checked(x, partial(check_rank, rank))
-    return _timed_report(x, nx, "tsvd", lambda xh: tsvd_factors(xh, rank, x.shape[2], like=x),
-                         spectral_pair)
+    return _timed_report(x, nx, "tsvd", lambda xh: svd_spectral(xh, rank))
 
 
 def run_randomized(x: np.ndarray, rank: int, oversample: int, power_iters: int,
@@ -270,5 +276,5 @@ def run_randomized(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     x, nx = checked(x, partial(check_sketch, rank, oversample, power_iters))
     return _timed_report(x, nx, "randomized",
                          lambda xh: randomized_spectral(xh, x.shape[2], nx, rank, oversample,
-                                                        power_iters, seed, like=x),
-                         spectral_pair, power_iters=power_iters, seed=seed.seed)
+                                                        power_iters, seed),
+                         power_iters=power_iters, seed=seed.seed)

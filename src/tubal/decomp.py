@@ -9,7 +9,8 @@ core.slice_chunks: it takes the Gram of each slice's smaller side in one
 batched product, and the top-rank eigenpairs of that Gram give the
 singular values and one factor, a projection the other.  A slice
 whose spectrum cannot certify that result (GRAM_RTOL) is factored by SVD
-instead, and no factor wider than the rank is formed.
+instead, and no factor wider than the rank is formed.  tsvd_factors, the
+one inverse, turns a t-SVD core's triple (uh, sh, vhh) into TSVDFactors.
 """
 
 from dataclasses import dataclass
@@ -146,19 +147,14 @@ def svd_spectral(h: np.ndarray, rank: int):
     return u, s, vh
 
 
-def tsvd_factors(h: np.ndarray, rank: int, i3: int, lift=None, like=None) -> TSVDFactors:
-    """Rank-R tubal SVD factors of the tensor with half spectrum h, by svd_spectral.
+def tsvd_factors(uh, sh, vhh, i3: int, like=None) -> TSVDFactors:
+    """The TSVDFactors of a half-spectrum triple (uh, sh, vhh): the one inverse transform.
 
-    With lift, a (K, I1, M) spectral stack with orthonormal columns, h is
-    the projection lift^H x of some x and u is lifted to lift @ u.  Raises
-    RankOutOfRange unless 1 <= rank <= min(M, I2) for h of shape (K, M, I2).
-    like, the tensor the factors derive from, picks the memory order of u
-    and v as in irfft_tubes; s is always C-ordered.
+    uh (K, I1, R), sh (K, R) and vhh (K, R, I2) are as svd_spectral returns
+    them, u lifted by a basis if any.  like, the tensor the factors derive
+    from, picks the memory order of u and v as in irfft_tubes; s is C-ordered.
     """
-    rank = check_rank(rank, *h.shape[1:])
-    uh, sh, vhh = svd_spectral(h, rank)
-    if lift is not None:
-        uh = lift @ uh
+    rank = sh.shape[1]
     # Only the diagonal tubes of s are nonzero; the rest transform to zeros.
     s = np.zeros((rank, rank, i3))
     idx = np.arange(rank)
@@ -168,23 +164,21 @@ def tsvd_factors(h: np.ndarray, rank: int, i3: int, lift=None, like=None) -> TSV
 
 
 def truncated_tsvd(x: np.ndarray, rank: int) -> TSVDFactors:
-    """Rank-R tubal SVD: tsvd_factors of the half spectrum of x.
+    """Rank-R tubal SVD: svd_spectral of the half spectrum of x, inverted by tsvd_factors.
 
     An out-of-range rank is refused before x is transformed.
     """
     x = as_tensor3(x)
-    check_rank(rank, *x.shape[:2])
-    return tsvd_factors(rfft_tubes(x), rank, x.shape[2], like=x)
-
-
-def spectral_pair(f: TSVDFactors):
-    """The half spectra of u * s and transpose(v): the pair whose product is the approximation."""
-    return rfft_tubes(f.u) @ rfft_tubes(f.s), adjoint(rfft_tubes(f.v))
+    rank = check_rank(rank, *x.shape[:2])
+    # xh is held until u and v are inverted, as in randomized.adaptive_qb.
+    xh = rfft_tubes(x)
+    return tsvd_factors(*svd_spectral(xh, rank), x.shape[2], like=x)
 
 
 def reconstruct(f: TSVDFactors) -> np.ndarray:
     """Multiply the factors back together: u * s * transpose(v)."""
-    return irfft_tubes(np.matmul(*spectral_pair(f)), f.u.shape[2], like=f.u)
+    return irfft_tubes(rfft_tubes(f.u) @ rfft_tubes(f.s) @ adjoint(rfft_tubes(f.v)),
+                       f.u.shape[2], like=f.u)
 
 
 def tubal_rank(x: np.ndarray) -> int:

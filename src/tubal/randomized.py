@@ -8,6 +8,7 @@ half spectrum of x, randomized_spectral or adaptive_spectral, behind a
 wrapper that lets x in by core.checked and transforms it once.  The
 package exports neither the cores nor trim_last_block; they are public so
 that the run reports can call them and the benchmark can trace them.
+randomized_spectral ends in the t-SVD triple that decomp.tsvd_factors inverts.
 
 Both take each new block from one block step, which projects every
 product with x off the basis found so far, so each power round multiplies
@@ -42,7 +43,7 @@ from .core import (
     rfft_tubes,
     row_energies,
 )
-from .decomp import TSVDFactors, check_rank, orth_spectral, tsvd_factors
+from .decomp import TSVDFactors, check_rank, orth_spectral, svd_spectral, tsvd_factors
 from .errors import DegenerateInput, NonFiniteData, RankOutOfRange, SpecInvalid
 
 # Below epsilon^2 = PRECISION_FLOOR_ULPS * ulp(1) * ||x||_F^2 the energy
@@ -163,14 +164,16 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     power_iters rounds of alternating products with x and its transpose
     (orthonormalizing after every half-step for stability), projects, and
     recovers the factors from the truncated t-SVD of the projection.
-    randomized_spectral runs it all on the half spectrum of x, transformed once.
-    rng is an RngStream or a numpy Generator; anything else raises
-    SpecInvalid before x is transformed.
+    randomized_spectral runs it all on the half spectrum of x, transformed once,
+    and tsvd_factors inverts its result.  rng is an RngStream or a numpy
+    Generator; anything else raises SpecInvalid before x is transformed.
     """
     gen = resolve_generator(rng)
     x, norm = checked(x, partial(check_sketch, rank, oversample, power_iters))
-    return randomized_spectral(rfft_tubes(x), x.shape[2], norm, rank, oversample, power_iters,
-                               gen, like=x)
+    # xh is held until u and v are inverted, as in adaptive_qb.
+    xh = rfft_tubes(x)
+    return tsvd_factors(*randomized_spectral(xh, x.shape[2], norm, rank, oversample,
+                                             power_iters, gen), x.shape[2], like=x)
 
 
 def check_sketch(rank, oversample, power_iters, i1: int, i2: int) -> None:
@@ -190,16 +193,17 @@ def check_sketch(rank, oversample, power_iters, i1: int, i2: int) -> None:
 
 
 def randomized_spectral(xh: np.ndarray, i3: int, norm: float, rank: int, oversample: int,
-                        power_iters: int, rng, like=None) -> TSVDFactors:
+                        power_iters: int, rng):
     """The algorithm of randomized_tsvd on xh = rfft_tubes(x), with i3 = I3 and norm = ||x||_F.
 
-    like (x itself, say) picks the memory order of u and v, as in tsvd_factors.
+    Returns (q @ uh, sh, vhh): svd_spectral of the projection, u lifted by the basis q.
     """
     i1, i2 = xh.shape[1:]
     scale = _rms_scale(norm, i1 * i2 * i3)
     omega = rfft_tubes(gaussian_tensor(i2, rank + oversample, i3, rng))
     q = _next_block(xh, xh[:, :, :0], xh @ omega, i3, scale, power_iters, 0)
-    return tsvd_factors(adjoint(q) @ xh, rank, i3, lift=q, like=like)
+    uh, sh, vhh = svd_spectral(adjoint(q) @ xh, rank)
+    return q @ uh, sh, vhh
 
 
 def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBApprox:
@@ -303,9 +307,10 @@ def trim_last_block(rows: np.ndarray, energy_before_last: float, eps2: float):
 
 
 def qb_to_tsvd(qb: QBApprox, rank="all") -> TSVDFactors:
-    """Recover tubal SVD factors from a QB pair: SVD the small b, lift u through q."""
+    """Tubal SVD factors of a QB pair: check the rank, SVD the small b, lift u through q."""
     if qb.rank == 0:
         raise RankOutOfRange("qb has rank 0, so there are no factors: ||x||_F was "
                              "already below epsilon, or x is numerically zero")
-    return tsvd_factors(rfft_tubes(qb.b), qb.rank if rank == "all" else rank, qb.b.shape[2],
-                        lift=rfft_tubes(qb.q), like=qb.q)
+    rank = check_rank(qb.rank if rank == "all" else rank, *qb.b.shape[:2])
+    uh, sh, vhh = svd_spectral(rfft_tubes(qb.b), rank)
+    return tsvd_factors(rfft_tubes(qb.q) @ uh, sh, vhh, qb.b.shape[2], like=qb.q)

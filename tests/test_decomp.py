@@ -254,7 +254,8 @@ def test_gram_path_matches_svd(i1, i2, i3, lifted, rand_tensor, svd_slices):
     rank = 4
     uh, sh, vhh = np.linalg.svd(h, full_matrices=False)
     svd_slices.clear()
-    f = tsvd_factors(h, rank, i3, lift=lift if lifted else None)
+    gu, gs, gvh = svd_spectral(h, rank)
+    f = tsvd_factors(lift @ gu if lifted else gu, gs, gvh, i3)
     assert svd_slices == []
     idx = np.arange(rank)
     s = rfft_tubes(f.s)[:, idx, idx]

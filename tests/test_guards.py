@@ -21,6 +21,7 @@ import tubal
 import tubal.core
 from tubal import (
     AdaptiveConfig,
+    QBApprox,
     RankOutOfRange,
     RngStream,
     SpecInvalid,
@@ -50,10 +51,10 @@ from conftest import LAYOUTS
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 README = BENCHMARK.parent / "README.md"
 
-# Test-only references that live in tests/references.py, and a deleted helper.
+# Test-only references that live in tests/references.py, and deleted helpers.
 NOT_IN_PACKAGE = ("dft_tubes", "idft_tubes", "IMAG_RESIDUE_RTOL", "ImaginaryResidue",
                   "tprod_oracle", "ORACLE_SCALAR_CAP", "SizeGuard", "blocked_randqb_matrix",
-                  "_orth_cols", "gaussian_matrix", "num_head_slices")
+                  "_orth_cols", "gaussian_matrix", "num_head_slices", "spectral_pair")
 
 
 def test_per_layer_functions_exist():
@@ -154,14 +155,21 @@ RUNS = {
 }
 
 
+# All a t-SVD report transforms forward: x, and the randomized sketch omega (I2 x 8 x I3).
+TSVD_TRANSFORMS = {"run_tsvd": [30 * 20 * 6], "run_randomized": [30 * 20 * 6, 20 * 8 * 6]}
+
+
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_run_reports_transform_x_once(run, x_transforms, x_norms, rand_tensor):
-    # Every report solves and measures its error on the same spectrum of x.
+    # Every report solves and measures its error on the same spectrum of x;
+    # a t-SVD report takes it on the core's triple, transforming no factor.
     x = rand_tensor(30, 20, 6, seed=81)
     report = RUNS[run](x)
     assert report.estimated_rank > 0 and 0 < report.relative_error < 1
     assert x_transforms.count(x.size) == 1
     assert x_norms.count(x.size) == 1
+    if run in TSVD_TRANSFORMS:
+        assert x_transforms == TSVD_TRANSFORMS[run]
 
 
 def test_exact_lowrank_generator_transforms_only_kept_slices(x_transforms):
@@ -294,22 +302,22 @@ def test_only_a_met_bound_is_trimmed(trims, rand_tensor):
 def test_diagonal_s_matches_dense_construction(i3, rand_tensor):
     h = rfft_tubes(rand_tensor(9, 7, i3, seed=79))
     rank = 5
-    # The singular values tsvd_factors itself takes, from its slice-wise step.
-    sh = svd_spectral(h, rank)[1]
+    # The singular values of svd_spectral, the slice-wise step tsvd_factors inverts.
+    uh, sh, vhh = svd_spectral(h, rank)
     dense = np.zeros((h.shape[0], rank, rank), dtype=np.complex128)
     dense[:, np.arange(rank), np.arange(rank)] = sh
-    s = tsvd_factors(h, rank, i3).s
+    s = tsvd_factors(uh, sh, vhh, i3).s
     assert s.shape == (rank, rank, i3)
     assert s.tobytes(order="F") == irfft_tubes(dense, i3).tobytes(order="F")
 
 
-def test_tsvd_factors_holds_no_full_factors(monkeypatch, rand_tensor):
+def test_svd_spectral_holds_no_full_factors(monkeypatch, rand_tensor):
     # One slice per chunk: beside h, only rank-wide factors and one slice's Gram.
     h = rfft_tubes(rand_tensor(48, 40, 16, seed=80))
     monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 1)
     tracemalloc.start()
     try:
-        tsvd_factors(h, 4, 16)
+        svd_spectral(h, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -352,6 +360,9 @@ REFUSED = {
     "truncated_tsvd-zero": (lambda x: truncated_tsvd(x, 0), RankOutOfRange),
     "truncated_tsvd-above": (lambda x: truncated_tsvd(x, 6), RankOutOfRange),
     "run_tsvd": (lambda x: run_tsvd(x, 6), RankOutOfRange),
+    # b is 3 x 5 x 4, so rank 4 is out of range before q or b is transformed.
+    "qb_to_tsvd": (lambda x: qb_to_tsvd(QBApprox(q=x[:, :3], b=x[:3], energy_trace=[],
+                                                 achieved=True), 4), RankOutOfRange),
     "randomized_tsvd": (lambda x: randomized_tsvd(x, 4, 2, 1, RngStream(0)), RankOutOfRange),
     "randomized_tsvd-power": (lambda x: randomized_tsvd(x, 2, 1, -1, RngStream(0)),
                               SpecInvalid),
@@ -403,12 +414,15 @@ def _results_from(x, y, epsilon):
     qb = adaptive_qb(x, AdaptiveConfig(epsilon=epsilon, block_size=3, power_iters=1,
                                        seed=RngStream(83)))
     f = truncated_tsvd(x, 4)
+    rng = RngStream(84)
     out = {"adaptive_qb.q": qb.q, "adaptive_qb.b": qb.b, "tprod": tprod(x, y), "orth": orth(x),
            "reconstruct": reconstruct(f)}
     out["t_qr.q"], out["t_qr.r"] = t_qr(x)
     for name, g in (("truncated_tsvd", f),
-                    ("randomized_tsvd", randomized_tsvd(x, 4, 2, 1, RngStream(84))),
-                    ("qb_to_tsvd", qb_to_tsvd(qb))):
+                    ("randomized_tsvd", randomized_tsvd(x, 4, 2, 1, rng)),
+                    ("qb_to_tsvd", qb_to_tsvd(qb)),
+                    ("run_tsvd", run_tsvd(x, 4).result),
+                    ("run_randomized", run_randomized(x, 4, 2, 1, rng).result)):
         out.update({f"{name}.u": g.u, f"{name}.s": g.s, f"{name}.v": g.v})
     return out
 
@@ -425,6 +439,12 @@ def test_results_keep_the_memory_order_of_x(i3, rand_tensor):
         x = make(base)
         got = _results_from(x, y, eps)
         assert got.keys() == want.keys()
+        # The report factors are the entries' on the same stream, bit for bit.
+        for report, entry in (("run_tsvd", "truncated_tsvd"),
+                              ("run_randomized", "randomized_tsvd")):
+            for f in "usv":
+                assert got[f"{report}.{f}"].tobytes() == got[f"{entry}.{f}"].tobytes(), (
+                    layout, report, f)
         for name, t in got.items():
             assert t.tobytes() == want[name], (layout, name)
             if not name.endswith(".s"):
