@@ -91,22 +91,20 @@ def decay_profile(case: str, n: int, rank: int) -> np.ndarray:
 def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
     """Build the tensor described by ``spec``: u * s * transpose(v), plus noise.
 
-    u and v are the orthonormal factors of two n x n x n Gaussian draws,
-    s is f-diagonal, and x is built on the half spectrum:
+    u and v have orthonormal lateral slices, s is f-diagonal, and x is
+    built on the half spectrum:
 
-    exact-lowrank: s holds R Gaussian singular tubes.  Householder QR makes
-        the leading R columns of Q depend only on the leading R columns of
-        the draw, so only the first R lateral slices of each draw are
-        transformed and orthonormalized; x is one batched product and one
+    exact-lowrank: u and v are orth of two (n, R, n) Gaussian draws and s
+        holds R Gaussian singular tubes; x is one batched product and one
         inverse transform.
     poly-decay, exp-decay: s holds the constant tubes of decay_profile, so
         x is the same matrix U0 diag(d) V0^T on every frontal slice, where
-        U0 and V0 are the Q factors of the sums of the draws' frontal slices.
+        U0 and V0 are the Q factors of two n x n Gaussian draws.
 
-    Random cases draw, in order: the two Gaussian tensors behind u and v,
-    the singular tubes (exact-lowrank only), and the noise tensor, scaled
-    to Frobenius norm delta.  Identical specs therefore produce
-    bit-identical tensors.
+    Random cases draw, in order and each by gaussian_tensor: the two draws
+    behind u and v, the singular tubes (exact-lowrank only), and the noise
+    tensor, scaled to Frobenius norm delta.  Identical specs therefore
+    produce bit-identical tensors.
     """
     n = spec.n
     if spec.case == "hilbert-1":
@@ -115,18 +113,14 @@ def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
         return hilbert_tensor(2, n)
 
     gen = spec.seed.generator()
-    a = gaussian_tensor(n, n, n, gen)
-    b = gaussian_tensor(n, n, n, gen)
     r = spec.rank
     if spec.case == "exact-lowrank":
-        uh = np.linalg.qr(rfft_tubes(a[:, :r, :]))[0]
-        vh = np.linalg.qr(rfft_tubes(b[:, :r, :]))[0]
-        tubes = gen.standard_normal(r * n).reshape((1, r, n), order="F")
+        uh, vh = (np.linalg.qr(rfft_tubes(gaussian_tensor(n, r, n, gen)))[0] for _ in range(2))
+        tubes = gaussian_tensor(1, r, n, gen)
         # The (K, 1, R) spectrum of the tubes scales the columns of every slice of uh.
         x = irfft_tubes((uh * rfft_tubes(tubes)) @ adjoint(vh), n)
     else:
-        u0 = np.linalg.qr(a.sum(axis=2))[0]
-        v0 = np.linalg.qr(b.sum(axis=2))[0]
+        u0, v0 = (np.linalg.qr(gaussian_tensor(n, n, 1, gen)[:, :, 0])[0] for _ in range(2))
         m = (u0 * decay_profile(spec.case, n, r)) @ v0.T
         # irfft_tubes' default layout: frontal slices outermost, rows C-ordered.
         x = np.tile(m, (n, 1, 1)).transpose(1, 2, 0)

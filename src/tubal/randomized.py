@@ -45,6 +45,7 @@ from .core import (
 )
 from .decomp import TSVDFactors, check_rank, orth_spectral, svd_spectral, tsvd_factors
 from .errors import DegenerateInput, NonFiniteData, RankOutOfRange, SpecInvalid
+from .tprod import conformable
 
 # Below epsilon^2 = PRECISION_FLOOR_ULPS * ulp(1) * ||x||_F^2 the energy
 # recursion cannot certify the bound, so the residual is computed explicitly.
@@ -307,10 +308,11 @@ def trim_last_block(rows: np.ndarray, energy_before_last: float, eps2: float):
 
 
 def qb_to_tsvd(qb: QBApprox, rank="all") -> TSVDFactors:
-    """Tubal SVD factors of a QB pair: check the rank, SVD the small b, lift u through q."""
+    """Tubal SVD factors of a QB pair: check q * b and the rank, SVD the small b, lift u through q."""
+    q, b = conformable(qb.q, qb.b)
     if qb.rank == 0:
         raise RankOutOfRange("qb has rank 0, so there are no factors: ||x||_F was "
                              "already below epsilon, or x is numerically zero")
-    rank = check_rank(qb.rank if rank == "all" else rank, *qb.b.shape[:2])
-    uh, sh, vhh = svd_spectral(rfft_tubes(qb.b), rank)
-    return tsvd_factors(rfft_tubes(qb.q) @ uh, sh, vhh, qb.b.shape[2], like=qb.q)
+    rank = check_rank(qb.rank if rank == "all" else rank, *b.shape[:2])
+    uh, sh, vhh = svd_spectral(rfft_tubes(b), rank)
+    return tsvd_factors(rfft_tubes(q) @ uh, sh, vhh, b.shape[2], like=q)

@@ -14,11 +14,12 @@ from .core import adjoint, as_tensor3, irfft_tubes, rfft_tubes, row_energies, th
 from .errors import DimMismatch
 
 
-def _check_conformable(x: np.ndarray, y: np.ndarray) -> None:
+def conformable(x, y) -> tuple:
+    """(x, y) as third-order float64 tensors if x * y is defined, else DimMismatch."""
+    x, y = third_order(x), third_order(y)
     if x.shape[1] != y.shape[0] or x.shape[2] != y.shape[2]:
-        raise DimMismatch(
-            f"t-product needs (I1,I2,I3)*(I2,I4,I3), got {x.shape} * {y.shape}"
-        )
+        raise DimMismatch(f"t-product needs (I1,I2,I3)*(I2,I4,I3), got {x.shape} * {y.shape}")
+    return x, y
 
 
 def tprod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -28,8 +29,7 @@ def tprod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     the two conformable, else DimMismatch; entries are not scanned.  The
     result is C-ordered if x is, else in irfft_tubes' default layout.
     """
-    x, y = third_order(x), third_order(y)
-    _check_conformable(x, y)
+    x, y = conformable(x, y)
     return irfft_tubes(rfft_tubes(x) @ rfft_tubes(y), x.shape[2], like=x)
 
 

@@ -82,9 +82,9 @@ def test_hilbert_case_via_spec():
     assert x[0, 0, 0] == pytest.approx(1.0 / 3.0)
 
 
-def test_generator_determinism():
-    spec = SyntheticSpec(case="poly-decay", n=20, rank=4, delta=0.05,
-                         seed=RngStream(9))
+@pytest.mark.parametrize("case", ["exact-lowrank", "poly-decay", "exp-decay"])
+def test_generator_determinism(case):
+    spec = SyntheticSpec(case=case, n=20, rank=4, delta=0.05, seed=RngStream(9))
     a = gen_synthetic(spec)
     b = gen_synthetic(spec)
     assert np.array_equal(a, b)
@@ -93,18 +93,23 @@ def test_generator_determinism():
 def full_tensor_construction(spec):
     """The construction gen_synthetic stands for, with the same draws in the same order.
 
-    orth of both full n x n x n draws, the f-diagonal middle tensor, two
-    t-products and a transpose, then the noise scaled to norm delta.
+    orth of the two draws behind u and v, the f-diagonal middle tensor, two
+    t-products and a transpose, then the noise scaled to norm delta.  A
+    decay case's n x n draw G stands in frontal slice 0 of an otherwise
+    zero tensor, so every DFT slice of that tensor is G.
     """
     n, r = spec.n, spec.rank
     gen = spec.seed.generator()
-    u = orth(gaussian_tensor(n, n, n, gen))
-    v = orth(gaussian_tensor(n, n, n, gen))
     if spec.case == "exact-lowrank":
+        u = orth(gaussian_tensor(n, r, n, gen))
+        v = orth(gaussian_tensor(n, r, n, gen))
         s = np.zeros((r, r, n))
-        s[np.arange(r), np.arange(r), :] = gen.standard_normal(r * n).reshape((r, n), order="F")
-        u, v = u[:, :r, :], v[:, :r, :]
+        s[np.arange(r), np.arange(r), :] = gaussian_tensor(1, r, n, gen)[0]
     else:
+        u, v = np.zeros((n, n, n)), np.zeros((n, n, n))
+        u[:, :, 0] = gaussian_tensor(n, n, 1, gen)[:, :, 0]
+        v[:, :, 0] = gaussian_tensor(n, n, 1, gen)[:, :, 0]
+        u, v = orth(u), orth(v)
         s = np.zeros((n, n, n))
         s[np.arange(n), np.arange(n), :] = decay_profile(spec.case, n, r)[:, None]
     x = tprod(tprod(u, s), transpose(v))

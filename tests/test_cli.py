@@ -238,25 +238,37 @@ def test_usage_error_exits_1(tmp_path):
     assert exc.value.code == 1
 
 
+def _child_report(out, *args, **env):
+    """The --out report of ``python -m tubal.cli *args`` in a child process, less wall_time_ms."""
+    # The child imports tubal from where this process did.
+    src = str(Path(tubal.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "tubal.cli", *map(str, args), "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return [ln for ln in out.read_text().splitlines() if "wall_time_ms" not in ln]
+
+
 def test_repeated_process_runs_identical_modulo_walltime(tmp_path):
     x = gaussian_tensor(14, 11, 4, RngStream(17))
     tns = tmp_path / "x.tns"
     save_tns(x, tns)
-    # The child imports tubal from where this process did.
-    src = str(Path(tubal.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    texts = []
-    for name in ("p1.json", "p2.json"):
-        out = tmp_path / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "tubal.cli", "adaptive", "--in", str(tns),
-             "--eps", "0.15", "--rel", "--block", "3", "--power", "1",
-             "--seed", "5", "--out", str(out)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        texts.append(out.read_text().splitlines())
-    kept = [[ln for ln in t if "wall_time_ms" not in ln] for t in texts]
+    kept = [_child_report(tmp_path / name, "adaptive", "--in", tns, "--eps", "0.15", "--rel",
+                          "--block", "3", "--power", "1", "--seed", "5")
+            for name in ("p1.json", "p2.json")]
+    assert kept[0] == kept[1]
+
+
+def test_report_is_independent_of_the_blas_thread_count(tmp_path):
+    # With the norm a threaded BLAS dot, the noise scaling, epsilon.absolute,
+    # energy_trace and relative_error differed in their last digits between
+    # 1 and 2 threads at n = 100.
+    args = ("bench", "synthetic", "--case", "1", "--n", "100", "--eps", "0.01", "--rel",
+            "--block", "5", "--seed", "3")
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    kept = [_child_report(tmp_path / f"t{n}.json", *args, **dict.fromkeys(thread_vars, n))
+            for n in ("1", "2")]
     assert kept[0] == kept[1]
 
 

@@ -1,7 +1,7 @@
 """Structural guards: what the benchmark traces exists, the exports are the README's
 list and hold no test reference, the README's quick start runs, x is transformed once
-per run and per run report, the CLI job stays on the half spectrum, the exact-lowrank
-generator transforms only the lateral slices it keeps, the core runs the one trim
+per run and per run report, the CLI job stays on the half spectrum, the synthetic
+generator draws and transforms only what it keeps, the core runs the one trim
 rule once per run that meets its bound, and results derived from x keep its memory
 order."""
 
@@ -172,12 +172,35 @@ def test_run_reports_transform_x_once(run, x_transforms, x_norms, rand_tensor):
         assert x_transforms == TSVD_TRANSFORMS[run]
 
 
-def test_exact_lowrank_generator_transforms_only_kept_slices(x_transforms):
+@pytest.fixture
+def gaussian_draws(monkeypatch):
+    """Sizes of the standard normal draws of every RngStream's generator."""
+    sizes = []
+
+    class Spy(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            out = super().standard_normal(*args, **kwargs)
+            sizes.append(np.size(out))
+            return out
+
+    real = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: Spy(real(self).bit_generator))
+    return sizes
+
+
+@pytest.mark.parametrize("case", ["exact-lowrank", "poly-decay", "exp-decay"])
+def test_generator_draws_and_transforms_only_what_it_keeps(case, x_transforms, gaussian_draws):
+    # Each random case once drew two n x n x n tensors behind u and v, of
+    # which exact-lowrank kept R lateral slices and the decay cases the sum
+    # of the frontal slices: the noise is now the one n x n x n draw, and
+    # last.  Only exact-lowrank transforms, and only its R lateral slices.
     n, rank = 24, 3
-    x = gen_synthetic(SyntheticSpec(case="exact-lowrank", n=n, rank=rank, delta=0.01,
+    x = gen_synthetic(SyntheticSpec(case=case, n=n, rank=rank, delta=0.01,
                                     seed=RngStream(74)))
     assert x.shape == (n, n, n)
-    assert x_transforms and max(x_transforms) <= n * rank * n
+    assert gaussian_draws.count(n ** 3) == 1 and gaussian_draws[-1] == n ** 3
+    assert bool(x_transforms) == (case == "exact-lowrank")
+    assert max(x_transforms, default=0) <= n * rank * n
 
 
 def test_cli_adaptive_job_transforms_only_x(x_transforms, tmp_path, rand_tensor):

@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from tubal import (
     AdaptiveConfig,
+    DimMismatch,
     NonFiniteData,
+    QBApprox,
     RankOutOfRange,
     RngStream,
     SpecInvalid,
@@ -499,6 +501,18 @@ def test_qb_to_tsvd_rank_validation(rand_tensor):
     assert qb.rank == 0
     with pytest.raises(RankOutOfRange, match="rank 0, so there are no factors"):
         qb_to_tsvd(qb, "all")
+
+
+@pytest.mark.parametrize("q_shape", [(6, 4, 4), (6, 3, 5)], ids=["lateral", "frontal"])
+def test_qb_to_tsvd_refuses_nonconforming_q_and_b(q_shape, monkeypatch):
+    # b is 3 x 5 x 4.  The q with 4 lateral slices once raised numpy's
+    # ValueError; the one with 5 frontal slices returned factors for I3 = 4.
+    def refuse(x):
+        raise AssertionError("q or b was transformed before their shapes were checked")
+    monkeypatch.setattr("tubal.randomized.rfft_tubes", refuse)
+    qb = QBApprox(q=np.ones(q_shape), b=np.ones((3, 5, 4)), energy_trace=[], achieved=True)
+    with pytest.raises(DimMismatch, match="t-product needs"):
+        qb_to_tsvd(qb)
 
 
 def test_adaptive_does_not_mutate_input(rand_tensor):
