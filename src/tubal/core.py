@@ -11,12 +11,20 @@ Every t-operation runs on the half spectrum, the (K, I1, I2) stack of the
 K = I3//2 + 1 leading DFT slices, as batched matrix operations;
 rfft_tubes and irfft_tubes are the only conversions to and from it.
 
+map_chunks walks per-slice LAPACK work (decomp.svd_spectral's eigh,
+decomp.orth_spectral's QR), which numpy runs one slice at a time, over
+slice_chunks on one thread per BLAS thread, with numpy's OpenBLAS at one
+thread meanwhile: a walk of two or more chunks gives one BLAS thread's result.
+
 concat_mode1 and concat_mode2 have no caller in the library and the package
 does not export them; they stay public here because the benchmark's
 per-layer metrics in BENCHMARK.json name them.
 """
 
+import ctypes
+import glob
 import operator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +140,51 @@ def slice_chunks(h: np.ndarray):
     """Consecutive chunks of whole slices of h: at most CHUNK_BYTES of h, or one slice."""
     step = max(CHUNK_BYTES // max(h[0].nbytes, 1), 1)
     return (slice(a, a + step) for a in range(0, h.shape[0], step))
+
+
+def _openblas_threads():
+    """(get, set) of numpy's bundled OpenBLAS thread count; without one, get gives 1."""
+    libs = glob.glob(np.__path__[0] + ".libs/libscipy_openblas64_*.so")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas" or len(libs) != 1:
+        return (lambda: 1), (lambda n: None)
+    lib = ctypes.CDLL(libs[0])
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+_BLAS_THREADS = _openblas_threads()
+
+
+def map_chunks(fn, h: np.ndarray) -> list:
+    """[fn(c) for c in slice_chunks(h)] on w = min(BLAS threads, chunks) workers.
+
+    Worker 0 is the calling thread, the rest a pool made for the call, and
+    worker i takes chunks i, i + w, ...  fn must be thread-safe.  While
+    w > 1 the process's OpenBLAS runs at one thread; its count is restored after.
+    """
+    get, put = _BLAS_THREADS
+    chunks = list(slice_chunks(h))
+    old = get()
+    w = min(old, len(chunks))
+    out = [None] * len(chunks)
+
+    def work(i):
+        for j in range(i, len(chunks), w):
+            out[j] = fn(chunks[j])
+
+    if w > 1:
+        put(1)
+    try:
+        with ThreadPoolExecutor(max(w - 1, 1)) as pool:
+            rest = pool.map(work, range(1, w))
+            work(0)
+            list(rest)  # raises what a pool worker raised
+    finally:
+        put(old)
+    return out
 
 
 def residual_energy(xh: np.ndarray, qh: np.ndarray, bh: np.ndarray, i3: int) -> float:

@@ -4,21 +4,22 @@ Every factorization runs on the half-spectrum stack of rfft_tubes; the
 trailing slices are conjugate mirrors (singular values mirror without
 conjugation), so the inverse transform of the assembled half-spectrum is
 exactly real.  t-QR, orth and tubal_rank are one batched LAPACK call each.
-The truncated t-SVD (svd_spectral) goes over the slices in
-core.slice_chunks: it takes the Gram of each slice's smaller side in one
-batched product, and the top-rank eigenpairs of that Gram give the
-singular values and one factor, a projection the other.  A slice
-whose spectrum cannot certify that result (GRAM_RTOL) is factored by SVD
-instead, and no factor wider than the rank is formed.  tsvd_factors, the
-one inverse, turns a t-SVD core's triple (uh, sh, vhh) into TSVDFactors.
+orth_spectral, the randomized cores' basis, and the truncated t-SVD
+(svd_spectral) go over the slices on core.map_chunks, the walk of
+core.slice_chunks on as many threads as BLAS has.  svd_spectral takes the
+Gram of each slice's smaller side in one batched product per chunk, and
+the top-rank eigenpairs of that Gram give the singular values and one
+factor, a projection the other.  A slice whose spectrum cannot certify
+that result (GRAM_RTOL) is factored by SVD instead, and no factor wider
+than the rank is formed.  tsvd_factors, the one inverse, turns a t-SVD
+core's triple (uh, sh, vhh) into TSVDFactors.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (adjoint, as_index, as_tensor3, irfft_tubes, rfft_tubes, row_energies,
-                   slice_chunks)
+from .core import adjoint, as_index, as_tensor3, irfft_tubes, map_chunks, rfft_tubes, row_energies
 from .errors import DegenerateInput, RankOutOfRange
 
 # Entries this small relative to the data's scale carry no direction
@@ -64,7 +65,13 @@ def orth_spectral(h: np.ndarray, i3: int, scale: float = 1.0) -> np.ndarray:
     _, m, n = h.shape
     if np.sqrt(row_energies(h, i3).sum()) <= ZERO_INPUT_RTOL * np.sqrt(m * n * i3) * scale:
         raise DegenerateInput("cannot orthonormalize a numerically zero tensor")
-    return np.linalg.qr(h)[0]
+    q = np.empty(h.shape[:2] + (min(m, n),), dtype=np.complex128)
+
+    def fn(c):
+        q[c] = np.linalg.qr(h[c])[0]
+
+    map_chunks(fn, h)
+    return q
 
 
 def orth(x: np.ndarray) -> np.ndarray:
@@ -95,9 +102,9 @@ def svd_spectral(h: np.ndarray, rank: int):
     np.linalg.svd returns them, so u * s @ vh is each slice's best
     rank-rank approximation.  rank must be in range.
 
-    Each of core.slice_chunks(h), whole slices of at most CHUNK_BYTES,
-    takes the Gram g of its slices' smaller side (h h^H if M <= I2, else
-    h^H h) and its eigenpairs (lam, w), largest first.  Then
+    Each chunk of core.map_chunks(fn, h), whole slices of at most
+    CHUNK_BYTES, takes the Gram g of its slices' smaller side (h h^H if
+    M <= I2, else h^H h) and its eigenpairs (lam, w), largest first.  Then
     s = sqrt(lam), w is that side's factor and the other side's is the
     projection w^H h / s (or h w / s).  The Gram and eigh are backward
     stable: with lam_1 = s_1^2, w is orthonormal to working precision and
@@ -121,10 +128,12 @@ def svd_spectral(h: np.ndarray, rank: int):
     s = np.empty((k, rank))
     vh = np.empty((k, rank, n), dtype=np.complex128)
     top = slice(None, -rank - 1, -1)
-    for c in slice_chunks(h):
+
+    def fn(c):
+        # fn runs on pool threads: no public tubal function, which a tracer may wrap.
         hc, uc, sc, vhc = h[c], u[c], s[c], vh[c]
         with np.errstate(over="ignore", invalid="ignore"):
-            g = hc @ adjoint(hc) if wide else adjoint(hc) @ hc
+            g = hc @ hc.conj().swapaxes(1, 2) if wide else hc.conj().swapaxes(1, 2) @ hc
         g[~np.isfinite(g).all(axis=(1, 2))] = 0.0
         lam, w = np.linalg.eigh(g)
         del g
@@ -133,17 +142,19 @@ def svd_spectral(h: np.ndarray, rank: int):
         np.sqrt(np.maximum(lam, 0.0, out=sc), out=sc)
         if wide:
             uc[...] = w[:, :, top]
-            np.matmul(adjoint(uc), hc, out=vhc)
+            np.matmul(uc.conj().swapaxes(1, 2), hc, out=vhc)
             np.divide(vhc, sc[:, :, None], out=vhc, where=ok[:, None, None])
         else:
-            vhc[...] = adjoint(w[:, :, top])
-            np.matmul(hc, adjoint(vhc), out=uc)
+            vhc[...] = w[:, :, top].conj().swapaxes(1, 2)
+            np.matmul(hc, vhc.conj().swapaxes(1, 2), out=uc)
             np.divide(uc, sc[:, None, :], out=uc, where=ok[:, None, None])
         del w
         bad = np.flatnonzero(~ok)
         if bad.size:
             ub, sb, vhb = np.linalg.svd(hc[bad], full_matrices=False)
             uc[bad], sc[bad], vhc[bad] = ub[:, :, :rank], sb[:, :rank], vhb[:, :rank]
+
+    map_chunks(fn, h)
     return u, s, vh
 
 

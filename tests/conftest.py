@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import tubal.core
 from tubal import RngStream, gaussian_tensor
 
 # Every run draws the same examples and keeps no example database.
@@ -26,6 +27,24 @@ def rand_tensor():
     def make(i1, i2, i3, seed=0):
         return gaussian_tensor(i1, i2, i3, RngStream(seed))
     return make
+
+
+@pytest.fixture
+def blas_threads():
+    """Setter of numpy's OpenBLAS thread count for the test, which restores the old count.
+
+    The test is skipped if the count cannot be set: numpy has no OpenBLAS
+    that core found.
+    """
+    get, put = tubal.core._BLAS_THREADS
+    old = get()
+
+    def set_threads(n):
+        put(n)
+        if get() != n:
+            pytest.skip("no OpenBLAS whose thread count core can set")
+    yield set_threads
+    put(old)
 
 
 def naive_dft_tubes(x: np.ndarray) -> np.ndarray:

@@ -260,14 +260,28 @@ def test_repeated_process_runs_identical_modulo_walltime(tmp_path):
     assert kept[0] == kept[1]
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def test_report_is_independent_of_the_blas_thread_count(tmp_path):
     # With the norm a threaded BLAS dot, the noise scaling, epsilon.absolute,
     # energy_trace and relative_error differed in their last digits between
     # 1 and 2 threads at n = 100.
     args = ("bench", "synthetic", "--case", "1", "--n", "100", "--eps", "0.01", "--rel",
             "--block", "5", "--seed", "3")
-    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    kept = [_child_report(tmp_path / f"t{n}.json", *args, **dict.fromkeys(thread_vars, n))
+    kept = [_child_report(tmp_path / f"t{n}.json", *args, **dict.fromkeys(THREAD_VARS, n))
+            for n in ("1", "2")]
+    assert kept[0] == kept[1]
+
+
+def test_tsvd_report_is_independent_of_the_blas_thread_count(tmp_path):
+    # With one batched eigh at the BLAS thread count, relative_error differed
+    # in its last digits between 1 and 2 threads; the slice walk runs every
+    # eigh at one thread.
+    tns = tmp_path / "x.tns"
+    save_tns(gaussian_tensor(200, 200, 8, RngStream(11)), tns)
+    kept = [_child_report(tmp_path / f"t{n}.json", "tsvd", "--in", tns, "--rank", "10",
+                          **dict.fromkeys(THREAD_VARS, n))
             for n in ("1", "2")]
     assert kept[0] == kept[1]
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from tubal import (
 import tubal.core
 import tubal.decomp
 from tubal.core import adjoint, irfft_tubes, rfft_tubes
-from tubal.decomp import svd_spectral, tsvd_factors
+from tubal.decomp import orth_spectral, svd_spectral, tsvd_factors
 from references import dft_tubes, idft_tubes
 
 
@@ -334,6 +336,54 @@ def test_gram_chunks_are_bit_identical(i3, monkeypatch):
     monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 1)
     for a, b in zip(whole, svd_spectral(h, 3)):
         assert a.tobytes() == b.tobytes()
+
+
+def fallback_stack():
+    """Eight 12 x 9 slices; slice 3 is zero and slice 6 has rank one, so both take the SVD."""
+    h = rfft_tubes(gaussian_tensor(12, 9, 14, RngStream(48)))
+    h[3] = 0.0
+    h[6] = np.outer(h[6][:, 0], h[6][0])
+    return h
+
+
+def test_slice_walk_equals_one_worker(monkeypatch, blas_threads):
+    # Chunks of two slices: worker 1 takes chunks 1 and 3, so slices 3 and 6.
+    h = fallback_stack()
+    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 2 * h[0].nbytes)
+    threads = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        threads.append(threading.current_thread())
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    runs = []
+    for n in (1, 2):
+        blas_threads(n)
+        threads.clear()
+        runs.append((*svd_spectral(h, 4), orth_spectral(h, 14)))
+    assert threading.main_thread() not in threads and len(threads) == 2
+    assert np.all(runs[0][1][3] == 0.0)
+    for a, b in zip(*runs):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_slice_walk_without_openblas_is_one_worker(monkeypatch, blas_threads):
+    # A numpy built on another BLAS: the lookup fails, and the walk runs on
+    # the calling thread alone, at whatever thread count that BLAS has.
+    h = fallback_stack()
+    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 2 * h[0].nbytes)
+    blas_threads(1)
+    want = (*svd_spectral(h, 4), orth_spectral(h, 14))
+    monkeypatch.setattr(np, "show_config", lambda mode: {
+        "Build Dependencies": {"blas": {"name": "accelerate"}}})
+    monkeypatch.setattr(tubal.core, "_BLAS_THREADS", tubal.core._openblas_threads())
+    got = (*svd_spectral(h, 4), orth_spectral(h, 14))
+    for a, b in zip(want, got):
+        assert a.tobytes() == b.tobytes()
+    blas_threads(2)
+    assert tubal.core.map_chunks(lambda c: threading.current_thread(), h) == [
+        threading.main_thread()] * 4
 
 
 # ---------------------------------------------------------------- tubal rank

@@ -2,13 +2,15 @@
 list and hold no test reference, the README's quick start runs, x is transformed once
 per run and per run report, the CLI job stays on the half spectrum, the synthetic
 generator draws and transforms only what it keeps, the core runs the one trim
-rule once per run that meets its bound, and results derived from x keep its memory
-order."""
+rule once per run that meets its bound, results derived from x keep its memory
+order, and the slice walk leaves the BLAS thread count and the thread count as it
+found them."""
 
 import importlib
 import json
 import pkgutil
 import re
+import threading
 import tracemalloc
 import types
 from dataclasses import replace
@@ -43,7 +45,7 @@ from tubal import (
     truncated_tsvd,
 )
 from tubal.cli import main
-from tubal.core import adjoint, irfft_tubes, residual_energy, rfft_tubes
+from tubal.core import adjoint, irfft_tubes, map_chunks, residual_energy, rfft_tubes
 from tubal.decomp import svd_spectral, tsvd_factors
 from tubal.randomized import trim_last_block
 from conftest import LAYOUTS
@@ -334,9 +336,11 @@ def test_diagonal_s_matches_dense_construction(i3, rand_tensor):
     assert s.tobytes(order="F") == irfft_tubes(dense, i3).tobytes(order="F")
 
 
-def test_svd_spectral_holds_no_full_factors(monkeypatch, rand_tensor):
-    # One slice per chunk: beside h, only rank-wide factors and one slice's Gram.
+def test_svd_spectral_holds_no_full_factors(monkeypatch, rand_tensor, blas_threads):
+    # One slice per chunk on each of two workers: beside h, only rank-wide
+    # factors and one slice's Gram per worker.
     h = rfft_tubes(rand_tensor(48, 40, 16, seed=80))
+    blas_threads(2)
     monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 1)
     tracemalloc.start()
     try:
@@ -345,6 +349,43 @@ def test_svd_spectral_holds_no_full_factors(monkeypatch, rand_tensor):
     finally:
         tracemalloc.stop()
     assert peak < h.nbytes
+
+
+def test_svd_spectral_leaves_no_thread_running(monkeypatch, rand_tensor, blas_threads):
+    # The walk's pool lives for one call: a fork after it copies no thread.
+    h = rfft_tubes(rand_tensor(48, 40, 16, seed=80))
+    blas_threads(2)
+    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 1)
+    before = threading.active_count()
+    svd_spectral(h, 4)
+    assert threading.active_count() == before
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad", [None, 2, 3])
+def test_map_chunks_restores_the_blas_thread_count(bad, monkeypatch, blas_threads):
+    # BLAS runs at one thread inside the walk and at the caller's count after
+    # it, also when fn raises on the calling thread (chunk 2) or the pool's (3).
+    get = tubal.core._BLAS_THREADS[0]
+    blas_threads(2)
+    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 1)
+
+    def fn(c):
+        if c.start == bad:
+            raise Boom(c.start)
+        return c.start, get()
+
+    h = np.zeros((6, 2, 2), dtype=np.complex128)
+    if bad is None:
+        assert map_chunks(fn, h) == [(i, 1) for i in range(6)]
+    else:
+        with pytest.raises(Boom) as exc:
+            map_chunks(fn, h)
+        assert exc.type is Boom and exc.value.args == (bad,)
+    assert get() == 2
 
 
 @pytest.mark.parametrize("shape", [(32, 32, 798), (384, 384, 2)])
