@@ -11,10 +11,10 @@ Every t-operation runs on the half spectrum, the (K, I1, I2) stack of the
 K = I3//2 + 1 leading DFT slices, as batched matrix operations;
 rfft_tubes and irfft_tubes are the only conversions to and from it.
 
-map_chunks walks per-slice LAPACK work (decomp.svd_spectral's eigh,
-decomp.orth_spectral's QR), which numpy runs one slice at a time, over
-slice_chunks on one thread per BLAS thread, with numpy's OpenBLAS at one
-thread meanwhile: a walk of two or more chunks gives one BLAS thread's result.
+map_chunks walks per-slice work that numpy runs one slice at a time
+(decomp.svd_spectral's eigh, the randomized block step's products and QR)
+over slice_chunks on one thread per BLAS thread, with numpy's OpenBLAS at
+one thread meanwhile: a walk of two or more chunks gives one BLAS thread's result.
 
 concat_mode1 and concat_mode2 have no caller in the library and the package
 does not export them; they stay public here because the benchmark's

@@ -4,12 +4,11 @@ Every factorization runs on the half-spectrum stack of rfft_tubes; the
 trailing slices are conjugate mirrors (singular values mirror without
 conjugation), so the inverse transform of the assembled half-spectrum is
 exactly real.  t-QR, orth and tubal_rank are one batched LAPACK call each.
-orth_spectral, the randomized cores' basis, and the truncated t-SVD
-(svd_spectral) go over the slices on core.map_chunks, the walk of
-core.slice_chunks on as many threads as BLAS has.  svd_spectral takes the
-Gram of each slice's smaller side in one batched product per chunk, and
-the top-rank eigenpairs of that Gram give the singular values and one
-factor, a projection the other.  A slice whose spectrum cannot certify
+The truncated t-SVD (svd_spectral) goes over the slices on
+core.map_chunks, the walk of core.slice_chunks on as many threads as
+BLAS has.  It takes the Gram of each slice's smaller side in one batched
+product per chunk, and the top-rank eigenpairs of that Gram give the
+singular values and one factor, a projection the other.  A slice whose spectrum cannot certify
 that result (GRAM_RTOL) is factored by SVD instead, and no factor wider
 than the rank is formed.  tsvd_factors, the one inverse, turns a t-SVD
 core's triple (uh, sh, vhh) into TSVDFactors.
@@ -19,12 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import adjoint, as_index, as_tensor3, irfft_tubes, map_chunks, rfft_tubes, row_energies
+from .core import adjoint, as_index, as_tensor3, irfft_tubes, map_chunks, rfft_tubes
 from .errors import DegenerateInput, RankOutOfRange
-
-# Entries this small relative to the data's scale carry no direction
-# information worth orthonormalizing.
-ZERO_INPUT_RTOL = 1e-14
 
 # svd_spectral takes a slice's factors from its Gram only when the Gram's
 # r-th eigenvalue exceeds GRAM_RTOL times its largest (derivation there).
@@ -54,24 +49,6 @@ def t_qr(x: np.ndarray):
     x = as_tensor3(x)
     qh, rh = np.linalg.qr(rfft_tubes(x))
     return irfft_tubes(qh, x.shape[2], like=x), irfft_tubes(rh, x.shape[2], like=x)
-
-
-def orth_spectral(h: np.ndarray, i3: int, scale: float = 1.0) -> np.ndarray:
-    """Slice-wise orthonormal basis of the half spectrum h of an I3-tube tensor.
-
-    Raises DegenerateInput when that tensor's entries are at most
-    ZERO_INPUT_RTOL * scale in root-mean-square size.
-    """
-    _, m, n = h.shape
-    if np.sqrt(row_energies(h, i3).sum()) <= ZERO_INPUT_RTOL * np.sqrt(m * n * i3) * scale:
-        raise DegenerateInput("cannot orthonormalize a numerically zero tensor")
-    q = np.empty(h.shape[:2] + (min(m, n),), dtype=np.complex128)
-
-    def fn(c):
-        q[c] = np.linalg.qr(h[c])[0]
-
-    map_chunks(fn, h)
-    return q
 
 
 def orth(x: np.ndarray) -> np.ndarray:

@@ -10,9 +10,12 @@ package exports neither the cores nor trim_last_block; they are public so
 that the run reports can call them and the benchmark can trace them.
 randomized_spectral ends in the t-SVD triple that decomp.tsvd_factors inverts.
 
-Both take each new block from one block step, which projects every
-product with x off the basis found so far, so each power round multiplies
-by the residual x - Q*B as in randQB_EI (Yu, Gu & Li, SIMAX 2018).
+Both take each new block Q_i and its projection B_i = Q_i^H x from one
+block step, which projects every product with x off the basis found so
+far, so each power round multiplies by the residual x - Q*B as in
+randQB_EI (Yu, Gu & Li, SIMAX 2018).  The step runs whole on one
+core.map_chunks walk per block, in chunks of the block; its degeneracy
+tests run after the walk, in the order of its stages.
 
 The adaptive algorithm does not form the residual tensor.  It tracks the
 squared residual through the recursion E <- E - ||B_i||_F^2, which is
@@ -32,24 +35,29 @@ import numpy as np
 
 from .core import (
     RngStream,
-    adjoint,
+    _parseval_weights,
     as_index,
     check_seed,
     checked,
     gaussian_tensor,
     irfft_tubes,
+    map_chunks,
     resolve_generator,
     residual_energy,
     rfft_tubes,
     row_energies,
 )
-from .decomp import TSVDFactors, check_rank, orth_spectral, svd_spectral, tsvd_factors
+from .decomp import TSVDFactors, check_rank, svd_spectral, tsvd_factors
 from .errors import DegenerateInput, NonFiniteData, RankOutOfRange, SpecInvalid
 from .tprod import conformable
 
 # Below epsilon^2 = PRECISION_FLOOR_ULPS * ulp(1) * ||x||_F^2 the energy
 # recursion cannot certify the bound, so the residual is computed explicitly.
 PRECISION_FLOOR_ULPS = 256
+
+# A block step stage whose entries are this small relative to its scale
+# carries no direction information worth orthonormalizing.
+ZERO_INPUT_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -133,28 +141,58 @@ def _rms_scale(norm: float, size: int) -> float:
     return norm / np.sqrt(max(size, 1))
 
 
-def _next_block(xh: np.ndarray, qh: np.ndarray, p: np.ndarray, i3: int, scale: float,
-                rounds: int, passes: int) -> np.ndarray:
-    """The block step: an orthonormal block from the sketch p = xh @ omega, orthogonal to qh.
+def _next_block(xh: np.ndarray, qh: np.ndarray, omega: np.ndarray, i3: int, scale: float,
+                rounds: int, passes: int):
+    """The block step: q, orthonormal, from the sketch xh @ omega and orthogonal to qh; b = q^H xh.
 
-    Each product with x is projected off qh in place and orthonormalized,
-    testing degeneracy against scale, the root-mean-square entry of x: p,
-    then per round x^H q (q is orthogonal to qh already) and x q, so every
-    product multiplies by the residual.  The normalized block is then
-    projected and orthonormalized passes more times, as the precision
-    floor needs ("twice is enough").  An empty qh costs no work.
+    Each product with x is projected off qh in place and orthonormalized:
+    the sketch, then per round x^H q (q is orthogonal to qh already) and
+    x q, so every product multiplies by the residual.  Each normalized
+    block is then projected and orthonormalized passes more times, as the
+    precision floor needs ("twice is enough").  An empty qh costs no work.
+    The whole step runs on one core.map_chunks walk, in the chunks of the
+    wider of the q and b stacks, and returns (q, b).  Each stage keeps the
+    row sums of squares of the stack it orthonormalizes; after the walk the
+    stages are tested in the order they ran, and the first whose
+    root-mean-square entry is at most ZERO_INPUT_RTOL times its scale (that
+    of x, or 1 for the passes) raises DegenerateInput.
     """
-    for r in range(rounds + 1):
-        if r:
-            # x^H q is (q^H x)^H, so x is not copied.  x q goes into p's buffer:
-            # a fresh stack per round lets glibc trim the heap later calls refault.
-            np.matmul(xh, orth_spectral(adjoint(adjoint(q) @ xh), i3, scale), out=p)
-        if qh.shape[2]:
-            p -= qh @ (adjoint(qh) @ p)
-        q = orth_spectral(p, i3, scale)
-        for _ in range(passes):
-            q = orth_spectral(q - qh @ (adjoint(qh) @ q), i3)
-    return q
+    k, i1, i2 = xh.shape
+    r = omega.shape[2]
+    q = np.empty((k, i1, r), dtype=np.complex128)
+    b = np.empty((k, r, i2), dtype=np.complex128)
+    # (scale, row sums of squares) of each stage, in the order they run.
+    runs = [(scale, i1)] + [(1.0, i1)] * passes
+    stages = [(s, np.empty((k, m))) for s, m in runs + ([(scale, i2)] + runs) * rounds]
+
+    def fn(c):
+        # fn runs on pool threads: no public tubal function, which a tracer may wrap.
+        xc, qhc, sums = xh[c], qh[c], iter(stages)
+        qhc_h = qhc.conj().swapaxes(1, 2)
+
+        def basis(h):
+            next(sums)[1][c] = (h.real ** 2 + h.imag ** 2).sum(axis=2)
+            return np.linalg.qr(h)[0]
+
+        p = xc @ omega[c]
+        for rnd in range(rounds + 1):
+            if rnd:
+                # x^H q is (q^H x)^H, so x is not copied; x q goes into p's buffer.
+                np.matmul(xc, basis((qc.conj().swapaxes(1, 2) @ xc).conj().swapaxes(1, 2)), out=p)
+            if qh.shape[2]:
+                p -= qhc @ (qhc_h @ p)
+            qc = basis(p)
+            for _ in range(passes):
+                qc = basis(qc - qhc @ (qhc_h @ qc))
+        q[c] = qc
+        np.matmul(qc.conj().swapaxes(1, 2), xc, out=b[c])
+
+    map_chunks(fn, q if i1 >= i2 else b)
+    w = _parseval_weights(k, i3)
+    for s, e in stages:
+        if np.sqrt((w @ e).sum()) <= ZERO_INPUT_RTOL * np.sqrt(e.shape[1] * r * i3) * s:
+            raise DegenerateInput("cannot orthonormalize a numerically zero tensor")
+    return q, b
 
 
 def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
@@ -202,8 +240,8 @@ def randomized_spectral(xh: np.ndarray, i3: int, norm: float, rank: int, oversam
     i1, i2 = xh.shape[1:]
     scale = _rms_scale(norm, i1 * i2 * i3)
     omega = rfft_tubes(gaussian_tensor(i2, rank + oversample, i3, rng))
-    q = _next_block(xh, xh[:, :, :0], xh @ omega, i3, scale, power_iters, 0)
-    uh, sh, vhh = svd_spectral(adjoint(q) @ xh, rank)
+    q, b = _next_block(xh, xh[:, :, :0], omega, i3, scale, power_iters, 0)
+    uh, sh, vhh = svd_spectral(b, rank)
     return q @ uh, sh, vhh
 
 
@@ -265,11 +303,10 @@ def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
         rank = bh.shape[1]
         omega = rfft_tubes(gaussian_tensor(i2, min(cfg.block_size, max_rank - rank), i3, gen))
         try:
-            q_i = _next_block(xh, qh, xh @ omega, i3, scale, cfg.power_iters,
-                              2 if floor and rank else 0)
+            q_i, b_i = _next_block(xh, qh, omega, i3, scale, cfg.power_iters,
+                                   2 if floor and rank else 0)
         except DegenerateInput:
             break
-        b_i = adjoint(q_i) @ xh
         qh = np.concatenate([qh, q_i], axis=2)
         bh = np.concatenate([bh, b_i], axis=1)
         energy_before_last = energy

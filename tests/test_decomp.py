@@ -25,8 +25,9 @@ from tubal import (
 )
 import tubal.core
 import tubal.decomp
-from tubal.core import adjoint, irfft_tubes, rfft_tubes
-from tubal.decomp import orth_spectral, svd_spectral, tsvd_factors
+from tubal.core import adjoint, irfft_tubes, rfft_tubes, row_energies
+from tubal.decomp import svd_spectral, tsvd_factors
+from tubal.randomized import adaptive_spectral, randomized_spectral
 from references import dft_tubes, idft_tubes
 
 
@@ -346,25 +347,53 @@ def fallback_stack():
     return h
 
 
-def test_slice_walk_equals_one_worker(monkeypatch, blas_threads):
-    # Chunks of two slices: worker 1 takes chunks 1 and 3, so slices 3 and 6.
-    h = fallback_stack()
-    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 2 * h[0].nbytes)
-    threads = []
-    svd = np.linalg.svd
+def walk_outputs(h, monkeypatch):
+    """The outputs of every slice walk on the I3 = 14 stack h, as arrays.
 
-    def spy(a, *args, **kwargs):
-        threads.append(threading.current_thread())
-        return svd(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    svd_spectral walks chunks of two slices: worker 1 takes chunks 1 and
+    3, so slices 3 and 6.  The block step walks chunks of one slice, 8 per
+    block: in adaptive_spectral at power 0, 1 and 2 and at the precision
+    floor (block 3, so each run's later blocks project off the basis and,
+    at the floor, take two more passes), and in randomized_spectral.
+    """
+    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 2 * h[0].nbytes)
+    out = list(svd_spectral(h, 4))
+    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 1)
+    norm = float(np.sqrt(row_energies(h, 14).sum()))
+    for rel, power in ((0.2, 0), (0.2, 1), (0.2, 2), (1e-9, 1)):
+        cfg = AdaptiveConfig(epsilon=rel * norm, block_size=3, power_iters=power,
+                             seed=RngStream(49))
+        qh, bh, trace, _ = adaptive_spectral(h, 14, norm, cfg)
+        out += [qh, bh, np.array(trace)]
+    out += randomized_spectral(h, 14, norm, 4, 2, 1, RngStream(50))
+    return out
+
+
+def test_slice_walk_equals_one_worker(monkeypatch, blas_threads):
+    # Threads of the SVD fallback on slices of h, and of the block step's QR.
+    h = fallback_stack()
+    threads = {"svd": [], "qr": []}
+
+    def spy(name):
+        real = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            if name == "qr" or a.shape[1:] == h.shape[1:]:
+                threads[name].append(threading.current_thread())
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, call)
+    spy("svd")
+    spy("qr")
     runs = []
     for n in (1, 2):
         blas_threads(n)
-        threads.clear()
-        runs.append((*svd_spectral(h, 4), orth_spectral(h, 14)))
-    assert threading.main_thread() not in threads and len(threads) == 2
+        for t in threads.values():
+            t.clear()
+        runs.append(walk_outputs(h, monkeypatch))
+    assert threading.main_thread() not in threads["svd"] and len(threads["svd"]) == 2
+    assert {threading.main_thread()} < set(threads["qr"])
     assert np.all(runs[0][1][3] == 0.0)
-    for a, b in zip(*runs):
+    for a, b in zip(*runs, strict=True):
         assert a.tobytes() == b.tobytes()
 
 
@@ -372,16 +401,16 @@ def test_slice_walk_without_openblas_is_one_worker(monkeypatch, blas_threads):
     # A numpy built on another BLAS: the lookup fails, and the walk runs on
     # the calling thread alone, at whatever thread count that BLAS has.
     h = fallback_stack()
-    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 2 * h[0].nbytes)
     blas_threads(1)
-    want = (*svd_spectral(h, 4), orth_spectral(h, 14))
+    want = walk_outputs(h, monkeypatch)
     monkeypatch.setattr(np, "show_config", lambda mode: {
         "Build Dependencies": {"blas": {"name": "accelerate"}}})
     monkeypatch.setattr(tubal.core, "_BLAS_THREADS", tubal.core._openblas_threads())
-    got = (*svd_spectral(h, 4), orth_spectral(h, 14))
-    for a, b in zip(want, got):
+    got = walk_outputs(h, monkeypatch)
+    for a, b in zip(want, got, strict=True):
         assert a.tobytes() == b.tobytes()
     blas_threads(2)
+    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 2 * h[0].nbytes)
     assert tubal.core.map_chunks(lambda c: threading.current_thread(), h) == [
         threading.main_thread()] * 4
 

@@ -4,15 +4,18 @@ per run and per run report, the CLI job stays on the half spectrum, the syntheti
 generator draws and transforms only what it keeps, the core runs the one trim
 rule once per run that meets its bound, results derived from x keep its memory
 order, and the slice walk leaves the BLAS thread count and the thread count as it
-found them."""
+found them and runs no public function on a pool thread."""
 
+import functools
 import importlib
 import json
 import pkgutil
 import re
+import sys
 import threading
 import tracemalloc
 import types
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,7 +59,8 @@ README = BENCHMARK.parent / "README.md"
 # Test-only references that live in tests/references.py, and deleted helpers.
 NOT_IN_PACKAGE = ("dft_tubes", "idft_tubes", "IMAG_RESIDUE_RTOL", "ImaginaryResidue",
                   "tprod_oracle", "ORACLE_SCALAR_CAP", "SizeGuard", "blocked_randqb_matrix",
-                  "_orth_cols", "gaussian_matrix", "num_head_slices", "spectral_pair")
+                  "_orth_cols", "gaussian_matrix", "num_head_slices", "spectral_pair",
+                  "orth_spectral")
 
 
 def test_per_layer_functions_exist():
@@ -359,6 +363,48 @@ def test_svd_spectral_leaves_no_thread_running(monkeypatch, rand_tensor, blas_th
     before = threading.active_count()
     svd_spectral(h, 4)
     assert threading.active_count() == before
+
+
+def test_slice_walks_call_no_public_function(monkeypatch, rand_tensor, blas_threads):
+    # A tracer wraps every public function and keeps one span stack, which is
+    # not thread-safe: wrapped as benchmarks/tracing.py wraps them, none may
+    # run on a pool thread of the walks, here 8 chunks on two workers.
+    calls, qr_threads = defaultdict(set), []
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            calls[name].add(threading.current_thread())
+            return fn(*args, **kwargs)
+        return traced
+
+    wrappers = {}
+    for layer in ("core", "tprod", "decomp", "randomized", "bench", "tio", "cli"):
+        mod = importlib.import_module(f"tubal.{layer}")
+        for attr, obj in vars(mod).items():
+            if (isinstance(obj, types.FunctionType) and obj.__module__ == mod.__name__
+                    and not attr.startswith("_")):
+                wrappers[obj] = wrap(f"{layer}.{attr}", obj)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "tubal" or mod_name.startswith("tubal."):
+            for attr, obj in list(vars(mod).items()):
+                if isinstance(obj, types.FunctionType) and obj in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[obj])
+    qr = np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        qr_threads.append(threading.current_thread())
+        return qr(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    blas_threads(2)
+    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 1)
+    x = rand_tensor(12, 10, 14, seed=81)
+    tubal.adaptive_qb(x, AdaptiveConfig(epsilon=0.2 * frobenius_norm(x), block_size=3,
+                                        seed=RngStream(82)))
+    tubal.randomized_tsvd(x, 3, 2, 1, RngStream(83))
+    assert {"randomized.adaptive_spectral", "randomized.randomized_spectral"} <= set(calls)
+    assert [name for name, thread in calls.items() if thread != {threading.main_thread()}] == []
+    assert {threading.main_thread()} < set(qr_threads)
 
 
 class Boom(Exception):

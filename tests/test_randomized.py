@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from tubal import (
     AdaptiveConfig,
+    DegenerateInput,
     DimMismatch,
     NonFiniteData,
     QBApprox,
@@ -305,6 +306,21 @@ def test_adaptive_zero_tensor_degenerates_cleanly():
     qb = adaptive_qb(x, AdaptiveConfig(epsilon=0.0, block_size=3,
                                        power_iters=1, seed=RngStream(39)))
     assert qb.rank == 0 and not qb.achieved
+
+
+@pytest.mark.parametrize("power", [0, 1, 2])
+def test_degenerate_block_stops_the_run(power):
+    # Tubal rank 3 at epsilon 0: block 2's sketch is projected off block 1
+    # to rounding noise, so the block step raises and block 1 stands.
+    x = tprod(gaussian_tensor(8, 3, 5, RngStream(1)), gaussian_tensor(3, 6, 5, RngStream(2)))
+    qb = adaptive_qb(x, AdaptiveConfig(epsilon=0.0, block_size=3, power_iters=power,
+                                       seed=RngStream(3)))
+    assert qb.rank == 3 and not qb.achieved and len(qb.energy_trace) == 1
+
+
+def test_randomized_tsvd_of_zero_is_degenerate():
+    with pytest.raises(DegenerateInput):
+        randomized_tsvd(np.zeros((8, 6, 5)), 2, 1, 1, RngStream(4))
 
 
 @pytest.mark.parametrize("norm", [float("nan"), float("inf")])
