@@ -20,9 +20,9 @@ from .bench import (
     write_report,
 )
 from .core import RngStream, frobenius_norm, irfft_tubes
-from .decomp import svd_spectral, tsvd_factors, tubal_rank
+from .decomp import tsvd_factors, tubal_rank
 from .errors import TubalError
-from .randomized import AdaptiveConfig
+from .randomized import AdaptiveConfig, qb_spectral
 from .tio import load_pgm_stack, load_tns, pgm_files, save_pgm_stack, save_tns
 
 _CASE_NAMES = {"1": "exact-lowrank", "2": "poly-decay", "3": "exp-decay"}
@@ -79,8 +79,8 @@ def _cmd_adaptive(args) -> int:
     if args.save_factors:
         qb = report.result
         if qb.rank:
-            uh, sh, vhh = svd_spectral(qb.bh, qb.rank)
-            _save_factors(args.save_factors, tsvd_factors(qb.qh @ uh, sh, vhh, report.dims[2]))
+            _save_factors(args.save_factors,
+                          tsvd_factors(*qb_spectral(qb.qh, qb.bh, qb.rank), report.dims[2]))
         else:
             print("no factors to save: estimated rank is 0", file=sys.stderr)
     return _adaptive_exit(report)

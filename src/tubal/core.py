@@ -13,8 +13,9 @@ rfft_tubes and irfft_tubes are the only conversions to and from it.
 
 map_chunks walks per-slice work that numpy runs one slice at a time
 (decomp.svd_spectral's eigh, the randomized block step's products and QR)
-over slice_chunks on one thread per BLAS thread, with numpy's OpenBLAS at
-one thread meanwhile: a walk of two or more chunks gives one BLAS thread's result.
+over slice_chunks, one worker per BLAS thread: one worker runs inline and
+sets nothing; more run with OpenBLAS at one thread, then restore the count
+they read, so a walk of two or more chunks gives one BLAS thread's result.
 
 concat_mode1 and concat_mode2 have no caller in the library and the package
 does not export them; they stay public here because the benchmark's
@@ -161,24 +162,26 @@ _BLAS_THREADS = _openblas_threads()
 def map_chunks(fn, h: np.ndarray) -> list:
     """[fn(c) for c in slice_chunks(h)] on w = min(BLAS threads, chunks) workers.
 
-    Worker 0 is the calling thread, the rest a pool made for the call, and
-    worker i takes chunks i, i + w, ...  fn must be thread-safe.  While
-    w > 1 the process's OpenBLAS runs at one thread; its count is restored after.
+    One worker is the calling thread, and the BLAS count is left alone.  For
+    w >= 2, worker 0 is the calling thread, the rest a pool made for the call,
+    worker i takes chunks i, i + w, ..., and fn must be thread-safe; OpenBLAS
+    runs at one thread until the walk restores the count it read.
     """
     get, put = _BLAS_THREADS
     chunks = list(slice_chunks(h))
     old = get()
     w = min(old, len(chunks))
+    if w < 2:
+        return [fn(c) for c in chunks]
     out = [None] * len(chunks)
 
     def work(i):
         for j in range(i, len(chunks), w):
             out[j] = fn(chunks[j])
 
-    if w > 1:
-        put(1)
+    put(1)
     try:
-        with ThreadPoolExecutor(max(w - 1, 1)) as pool:
+        with ThreadPoolExecutor(w - 1) as pool:
             rest = pool.map(work, range(1, w))
             work(0)
             list(rest)  # raises what a pool worker raised

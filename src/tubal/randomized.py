@@ -8,14 +8,14 @@ half spectrum of x, randomized_spectral or adaptive_spectral, behind a
 wrapper that lets x in by core.checked and transforms it once.  The
 package exports neither the cores nor trim_last_block; they are public so
 that the run reports can call them and the benchmark can trace them.
-randomized_spectral ends in the t-SVD triple that decomp.tsvd_factors inverts.
+qb_spectral lifts every QB pair to the t-SVD triple that decomp.tsvd_factors inverts.
 
 Both take each new block Q_i and its projection B_i = Q_i^H x from one
 block step, which projects every product with x off the basis found so
 far, so each power round multiplies by the residual x - Q*B as in
 randQB_EI (Yu, Gu & Li, SIMAX 2018).  The step runs whole on one
-core.map_chunks walk per block, in chunks of the block; its degeneracy
-tests run after the walk, in the order of its stages.
+core.map_chunks walk per block, in chunks of the block, which returns its
+stages' energies; the degeneracy tests run on them after the walk.
 
 The adaptive algorithm does not form the residual tensor.  It tracks the
 squared residual through the recursion E <- E - ||B_i||_F^2, which is
@@ -151,27 +151,25 @@ def _next_block(xh: np.ndarray, qh: np.ndarray, omega: np.ndarray, i3: int, scal
     block is then projected and orthonormalized passes more times, as the
     precision floor needs ("twice is enough").  An empty qh costs no work.
     The whole step runs on one core.map_chunks walk, in the chunks of the
-    wider of the q and b stacks, and returns (q, b).  Each stage keeps the
-    row sums of squares of the stack it orthonormalizes; after the walk the
-    stages are tested in the order they ran, and the first whose
-    root-mean-square entry is at most ZERO_INPUT_RTOL times its scale (that
-    of x, or 1 for the passes) raises DegenerateInput.
+    wider of the q and b stacks, and returns (q, b).  Each chunk returns the
+    energies of the stacks its stages orthonormalize; after the walk their
+    sums are tested in stage order, and the first whose root-mean-square
+    entry is at most ZERO_INPUT_RTOL times its scale (that of x, or 1 for
+    the passes) raises DegenerateInput.
     """
     k, i1, i2 = xh.shape
     r = omega.shape[2]
     q = np.empty((k, i1, r), dtype=np.complex128)
     b = np.empty((k, r, i2), dtype=np.complex128)
-    # (scale, row sums of squares) of each stage, in the order they run.
-    runs = [(scale, i1)] + [(1.0, i1)] * passes
-    stages = [(s, np.empty((k, m))) for s, m in runs + ([(scale, i2)] + runs) * rounds]
+    w = _parseval_weights(k, i3)
 
     def fn(c):
         # fn runs on pool threads: no public tubal function, which a tracer may wrap.
-        xc, qhc, sums = xh[c], qh[c], iter(stages)
+        xc, qhc, wc, energies = xh[c], qh[c], w[c], []
         qhc_h = qhc.conj().swapaxes(1, 2)
 
         def basis(h):
-            next(sums)[1][c] = (h.real ** 2 + h.imag ** 2).sum(axis=2)
+            energies.append(wc @ (h.real ** 2 + h.imag ** 2).sum(axis=(1, 2)))
             return np.linalg.qr(h)[0]
 
         p = xc @ omega[c]
@@ -186,11 +184,12 @@ def _next_block(xh: np.ndarray, qh: np.ndarray, omega: np.ndarray, i3: int, scal
                 qc = basis(qc - qhc @ (qhc_h @ qc))
         q[c] = qc
         np.matmul(qc.conj().swapaxes(1, 2), xc, out=b[c])
+        return energies
 
-    map_chunks(fn, q if i1 >= i2 else b)
-    w = _parseval_weights(k, i3)
-    for s, e in stages:
-        if np.sqrt((w @ e).sum()) <= ZERO_INPUT_RTOL * np.sqrt(e.shape[1] * r * i3) * s:
+    totals = np.sum(map_chunks(fn, q if i1 >= i2 else b), axis=0)
+    runs = [(scale, i1)] + [(1.0, i1)] * passes
+    for e, (s, rows) in zip(totals, runs + ([(scale, i2)] + runs) * rounds, strict=True):
+        if np.sqrt(e) <= ZERO_INPUT_RTOL * np.sqrt(rows * r * i3) * s:
             raise DegenerateInput("cannot orthonormalize a numerically zero tensor")
     return q, b
 
@@ -235,14 +234,18 @@ def randomized_spectral(xh: np.ndarray, i3: int, norm: float, rank: int, oversam
                         power_iters: int, rng):
     """The algorithm of randomized_tsvd on xh = rfft_tubes(x), with i3 = I3 and norm = ||x||_F.
 
-    Returns (q @ uh, sh, vhh): svd_spectral of the projection, u lifted by the basis q.
+    Returns the qb_spectral triple of the block step's (q, b).
     """
     i1, i2 = xh.shape[1:]
     scale = _rms_scale(norm, i1 * i2 * i3)
     omega = rfft_tubes(gaussian_tensor(i2, rank + oversample, i3, rng))
-    q, b = _next_block(xh, xh[:, :, :0], omega, i3, scale, power_iters, 0)
-    uh, sh, vhh = svd_spectral(b, rank)
-    return q @ uh, sh, vhh
+    return qb_spectral(*_next_block(xh, xh[:, :, :0], omega, i3, scale, power_iters, 0), rank)
+
+
+def qb_spectral(qh: np.ndarray, bh: np.ndarray, rank: int):
+    """(qh @ uh, sh, vhh), the t-SVD of qh @ bh: svd_spectral(bh, rank) lifted by qh, unchecked."""
+    uh, sh, vhh = svd_spectral(bh, rank)
+    return qh @ uh, sh, vhh
 
 
 def adaptive_qb(x: np.ndarray, cfg: AdaptiveConfig, trim: bool = True) -> QBApprox:
@@ -313,14 +316,15 @@ def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
         if floor:
             energy = residual_energy(xh, qh, bh, i3)
         else:
-            energy -= float(row_energies(b_i, i3).sum())
+            rows = row_energies(b_i, i3)
+            energy -= float(rows.sum())
         # Below 0 is cancellation noise; the true squared residual is ~0.
         trace.append(max(energy, 0.0))
 
     # A run that succeeds with blocks behind it succeeded on its last block.
     if achieved and trim and trace and not floor:
         # rank is still the rank before the final block b_i.
-        kept, energy = trim_last_block(row_energies(b_i, i3), energy_before_last, eps2)
+        kept, energy = trim_last_block(rows, energy_before_last, eps2)
         qh, bh = qh[:, :, :rank + kept], bh[:, :rank + kept]
         trace[-1] = max(energy, 0.0)
     return SpectralQB(qh, bh, trace, achieved)
@@ -351,5 +355,4 @@ def qb_to_tsvd(qb: QBApprox, rank="all") -> TSVDFactors:
         raise RankOutOfRange("qb has rank 0, so there are no factors: ||x||_F was "
                              "already below epsilon, or x is numerically zero")
     rank = check_rank(qb.rank if rank == "all" else rank, *b.shape[:2])
-    uh, sh, vhh = svd_spectral(rfft_tubes(b), rank)
-    return tsvd_factors(rfft_tubes(q) @ uh, sh, vhh, b.shape[2], like=q)
+    return tsvd_factors(*qb_spectral(rfft_tubes(q), rfft_tubes(b), rank), b.shape[2], like=q)

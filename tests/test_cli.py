@@ -105,6 +105,39 @@ def test_adaptive_with_factors(tmp_path):
     assert err <= 0.2 * (1 + 1e-6)
 
 
+def test_adaptive_factors_are_the_library_lift_of_its_qb(tmp_path):
+    # --save-factors lifts the run's spectral pair; qb_to_tsvd lifts the same
+    # pair after adaptive_qb inverted it, so the two differ by rounding only.
+    x = gaussian_tensor(16, 12, 6, RngStream(9))
+    tns = tmp_path / "x.tns"
+    save_tns(x, tns)
+    prefix = tmp_path / "fac"
+    code = run_cli("adaptive", "--in", tns, "--eps", "0.3", "--rel", "--block", "3",
+                   "--power", "1", "--seed", "4", "--out", tmp_path / "r.json",
+                   "--save-factors", prefix)
+    assert code == 0
+    got = reconstruct(TSVDFactors(u=load_tns(f"{prefix}.U.tns"), s=load_tns(f"{prefix}.S.tns"),
+                                  v=load_tns(f"{prefix}.V.tns")))
+    cfg = tubal.AdaptiveConfig(epsilon=0.3 * frobenius_norm(x), block_size=3, power_iters=1,
+                               seed=RngStream(4))
+    want = reconstruct(tubal.qb_to_tsvd(tubal.adaptive_qb(x, cfg)))
+    assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
+
+
+def test_adaptive_saves_no_factors_at_rank_0(tmp_path, capsys):
+    # ||x||_F is below the bound, so the run succeeds at rank 0 with nothing to lift.
+    tns = tmp_path / "x.tns"
+    save_tns(gaussian_tensor(6, 5, 4, RngStream(1)), tns)
+    out = tmp_path / "r.json"
+    code = run_cli("adaptive", "--in", tns, "--eps", "2", "--rel", "--out", out,
+                   "--save-factors", tmp_path / "fac")
+    assert code == 0
+    assert "no factors to save: estimated rank is 0" in capsys.readouterr().err
+    report = read_json(out)
+    assert report["estimated_rank"] == 0 and report["relative_error"] == 1.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "x.tns"]
+
+
 def test_adaptive_exit_2_when_bound_unreachable(tmp_path):
     tns = tmp_path / "x.tns"
     save_tns(np.zeros((10, 10, 3)), tns)

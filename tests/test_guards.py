@@ -4,7 +4,8 @@ per run and per run report, the CLI job stays on the half spectrum, the syntheti
 generator draws and transforms only what it keeps, the core runs the one trim
 rule once per run that meets its bound, results derived from x keep its memory
 order, and the slice walk leaves the BLAS thread count and the thread count as it
-found them and runs no public function on a pool thread."""
+found them, sets no count when one worker runs it, and runs no public function on a
+pool thread."""
 
 import functools
 import importlib
@@ -432,6 +433,52 @@ def test_map_chunks_restores_the_blas_thread_count(bad, monkeypatch, blas_thread
             map_chunks(fn, h)
         assert exc.type is Boom and exc.value.args == (bad,)
     assert get() == 2
+
+
+def test_a_walk_inside_a_wider_one_leaves_the_count_it_restored(monkeypatch, blas_threads):
+    # The main thread's two-chunk walk holds BLAS at one thread while a second
+    # thread's one-chunk walk begins, and so runs at 1; that walk ends only
+    # after the wider one has restored 2, and must not write its 1 back.
+    get = tubal.core._BLAS_THREADS[0]
+    blas_threads(2)
+    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 1)
+    inner_began, outer_returned, inner = threading.Event(), threading.Event(), []
+
+    def inner_fn(c):
+        inside = get()
+        inner_began.set()
+        return inside, outer_returned.wait(10)
+
+    thread = threading.Thread(target=lambda: inner.append(
+        map_chunks(inner_fn, np.zeros((1, 2, 2)))))
+
+    def outer_fn(c):
+        if c.start == 0:
+            thread.start()
+            return inner_began.wait(10)
+        return True
+
+    try:
+        assert map_chunks(outer_fn, np.zeros((2, 2, 2))) == [True, True]
+    finally:
+        outer_returned.set()
+        thread.join(10)
+    assert inner == [[(1, True)]]
+    assert get() == 2
+
+
+@pytest.mark.parametrize("slices, count", [(1, 2), (3, 1)])
+def test_a_one_worker_walk_sets_no_blas_count(slices, count, monkeypatch, blas_threads):
+    # One chunk, or one BLAS thread: fn runs on the calling thread at the
+    # caller's count, and the setter is never called.
+    get, put = tubal.core._BLAS_THREADS
+    blas_threads(count)
+    monkeypatch.setattr(tubal.core, "CHUNK_BYTES", 1)
+    puts = []
+    monkeypatch.setattr(tubal.core, "_BLAS_THREADS", (get, lambda n: puts.append(n) or put(n)))
+    assert map_chunks(lambda c: (threading.current_thread(), get()),
+                      np.zeros((slices, 2, 2))) == [(threading.main_thread(), count)] * slices
+    assert puts == []
 
 
 @pytest.mark.parametrize("shape", [(32, 32, 798), (384, 384, 2)])
