@@ -41,7 +41,7 @@ from .randomized import (
     qb_to_tsvd,
     randomized_tsvd,
 )
-from .tio import load_pgm_stack, load_tns, reshape3, save_pgm_stack, save_tns
+from .tio import load_pgm_stack, load_tns, save_pgm_stack, save_tns
 from .tprod import is_orthogonal, tprod
 
 __version__ = "0.1.0"
@@ -80,7 +80,6 @@ __all__ = [
     "qb_to_tsvd",
     "randomized_tsvd",
     "reconstruct",
-    "reshape3",
     "run_adaptive",
     "run_randomized",
     "run_tsvd",

@@ -11,11 +11,7 @@ Every t-operation runs on the half spectrum, the (K, I1, I2) stack of the
 K = I3//2 + 1 leading DFT slices, as batched matrix operations;
 rfft_tubes and irfft_tubes are the only conversions to and from it.
 
-map_chunks walks per-slice work that numpy runs one slice at a time
-(decomp.svd_spectral's eigh, the randomized block step's products and QR)
-over slice_chunks, one worker per BLAS thread: one worker runs inline and
-sets nothing; more run with OpenBLAS at one thread, then restore the count
-they read, so a walk of two or more chunks gives one BLAS thread's result.
+map_chunks walks per-slice work over slice_chunks; its docstring owns the walk's rules.
 
 concat_mode1 and concat_mode2 have no caller in the library and the package
 does not export them; they stay public here because the benchmark's
@@ -41,8 +37,11 @@ CHUNK_BYTES = 2 * 2**20
 
 
 def third_order(data) -> np.ndarray:
-    """data as float64 if it is third-order with I3 >= 1 (a tube of length 0 has no DFT)."""
-    x = np.asarray(data, dtype=np.float64)
+    """data as float64 if it is real and third-order with I3 >= 1 (a length-0 tube has no DFT)."""
+    x = np.asarray(data)
+    if x.dtype.kind == "c":
+        raise DimMismatch(f"expected a real tensor, got dtype {x.dtype}")
+    x = x.astype(np.float64, copy=False)
     if x.ndim != 3:
         raise DimMismatch(f"expected a third-order tensor, got ndim={x.ndim}")
     if x.shape[2] == 0:
@@ -162,10 +161,16 @@ _BLAS_THREADS = _openblas_threads()
 def map_chunks(fn, h: np.ndarray) -> list:
     """[fn(c) for c in slice_chunks(h)] on w = min(BLAS threads, chunks) workers.
 
-    One worker is the calling thread, and the BLAS count is left alone.  For
+    The walk is for per-slice work that numpy runs one slice at a time
+    (decomp.svd_spectral's eigh, the randomized block step's products and
+    QR), which gains nothing from a second BLAS thread.  One worker is a
+    plain loop on the calling thread, which leaves the BLAS count alone.  For
     w >= 2, worker 0 is the calling thread, the rest a pool made for the call,
-    worker i takes chunks i, i + w, ..., and fn must be thread-safe; OpenBLAS
-    runs at one thread until the walk restores the count it read.
+    worker i takes chunks i, i + w, ..., and OpenBLAS runs at one thread until
+    the walk restores the count it read; so a walk of two or more chunks gives
+    one BLAS thread's result, and a walk inside another's reads 1, runs as a
+    loop and sets nothing.  fn must be thread-safe and call no public tubal
+    function, which a tracer may wrap.
     """
     get, put = _BLAS_THREADS
     chunks = list(slice_chunks(h))
@@ -276,19 +281,13 @@ def check_seed(seed) -> None:
         raise SpecInvalid(f"seed must be an RngStream, got {seed!r}")
 
 
-def resolve_generator(rng) -> np.random.Generator:
-    """The generator of an RngStream, or rng itself if it is one; anything else raises SpecInvalid."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise SpecInvalid(f"rng must be an RngStream or a numpy Generator, got {rng!r}")
-
-
 def gaussian_tensor(i1: int, i2: int, i3: int, rng) -> np.ndarray:
     """I.i.d. standard normal tensor, entries drawn in linear-offset order."""
     i1, i2, i3 = (as_index(d, "dimension", DimMismatch) for d in (i1, i2, i3))
     if min(i1, i2, i3) < 1:
         raise DimMismatch("gaussian tensor dimensions must be >= 1")
-    gen = resolve_generator(rng)
-    return gen.standard_normal(i1 * i2 * i3).reshape((i1, i2, i3), order="F")
+    if isinstance(rng, RngStream):
+        rng = rng.generator()
+    elif not isinstance(rng, np.random.Generator):
+        raise SpecInvalid(f"rng must be an RngStream or a numpy Generator, got {rng!r}")
+    return rng.standard_normal(i1 * i2 * i3).reshape((i1, i2, i3), order="F")

@@ -4,14 +4,13 @@ Every factorization runs on the half-spectrum stack of rfft_tubes; the
 trailing slices are conjugate mirrors (singular values mirror without
 conjugation), so the inverse transform of the assembled half-spectrum is
 exactly real.  t-QR, orth and tubal_rank are one batched LAPACK call each.
-The truncated t-SVD (svd_spectral) goes over the slices on
-core.map_chunks, the walk of core.slice_chunks on as many threads as
-BLAS has.  It takes the Gram of each slice's smaller side in one batched
-product per chunk, and the top-rank eigenpairs of that Gram give the
-singular values and one factor, a projection the other.  A slice whose spectrum cannot certify
-that result (GRAM_RTOL) is factored by SVD instead, and no factor wider
-than the rank is formed.  tsvd_factors, the one inverse, turns a t-SVD
-core's triple (uh, sh, vhh) into TSVDFactors.
+The truncated t-SVD (svd_spectral) walks the slices by core.map_chunks.
+It takes the Gram of each slice's smaller side in one batched product per
+chunk, and the top-rank eigenpairs of that Gram give the singular values
+and one factor, a projection the other.  A slice whose spectrum cannot
+certify that result (GRAM_RTOL) is factored by SVD instead, and no factor
+wider than the rank is formed.  tsvd_factors, the one inverse, turns a
+t-SVD core's triple (uh, sh, vhh) into TSVDFactors.
 """
 
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import adjoint, as_index, as_tensor3, irfft_tubes, map_chunks, rfft_tubes
-from .errors import DegenerateInput, RankOutOfRange
+from .errors import DegenerateInput, NonFiniteData, RankOutOfRange
 
 # svd_spectral takes a slice's factors from its Gram only when the Gram's
 # r-th eigenvalue exceeds GRAM_RTOL times its largest (derivation there).
@@ -79,11 +78,10 @@ def svd_spectral(h: np.ndarray, rank: int):
     np.linalg.svd returns them, so u * s @ vh is each slice's best
     rank-rank approximation.  rank must be in range.
 
-    Each chunk of core.map_chunks(fn, h), whole slices of at most
-    CHUNK_BYTES, takes the Gram g of its slices' smaller side (h h^H if
-    M <= I2, else h^H h) and its eigenpairs (lam, w), largest first.  Then
-    s = sqrt(lam), w is that side's factor and the other side's is the
-    projection w^H h / s (or h w / s).  The Gram and eigh are backward
+    Each chunk of the core.map_chunks walk takes the Gram g of its slices'
+    smaller side (h h^H if M <= I2, else h^H h) and its eigenpairs
+    (lam, w), largest first.  Then s = sqrt(lam), w is that side's factor
+    and the other side's is the projection w^H h / s (or h w / s).  The Gram and eigh are backward
     stable: with lam_1 = s_1^2, w is orthonormal to working precision and
     w^H G w = diag(lam) + F with ||F|| <= p(M) * ulp * lam_1 for the exact
     Gram G and a modest polynomial p in the slice's sizes.  So the
@@ -96,8 +94,8 @@ def svd_spectral(h: np.ndarray, rank: int):
     underflow adds no larger error.  The product u * s @ vh is w w^H h, the
     projection on the top eigenspace, which no rounding of s enters.  Zero,
     rank-deficient and ill-conditioned slices fail the test, as do slices
-    whose Gram overflows, and go to np.linalg.svd, those slices only;
-    nothing divides by zero.
+    whose Gram overflows, and go to np.linalg.svd, those slices only (a
+    non-finite one raises NonFiniteData); nothing divides by zero.
     """
     k, m, n = h.shape
     wide = m <= n
@@ -128,7 +126,10 @@ def svd_spectral(h: np.ndarray, rank: int):
         del w
         bad = np.flatnonzero(~ok)
         if bad.size:
-            ub, sb, vhb = np.linalg.svd(hc[bad], full_matrices=False)
+            hb = hc[bad]
+            if not np.isfinite(hb).all():
+                raise NonFiniteData("the spectrum of x overflows float64")
+            ub, sb, vhb = np.linalg.svd(hb, full_matrices=False)
             uc[bad], sc[bad], vhc[bad] = ub[:, :, :rank], sb[:, :rank], vhb[:, :rank]
 
     map_chunks(fn, h)
@@ -178,7 +179,10 @@ def tubal_rank(x: np.ndarray) -> int:
     examined.
     """
     x = as_tensor3(x)
-    svals = np.linalg.svd(rfft_tubes(x), compute_uv=False)
+    h = rfft_tubes(x)
+    if not np.isfinite(h).all():
+        raise NonFiniteData("the spectrum of x overflows float64")
+    svals = np.linalg.svd(h, compute_uv=False)
     smax = float(svals.max(initial=0.0))
     tol = max(x.shape[0], x.shape[1]) * np.spacing(smax)
     return int((svals > tol).sum(axis=1).max())

@@ -13,9 +13,8 @@ qb_spectral lifts every QB pair to the t-SVD triple that decomp.tsvd_factors inv
 Both take each new block Q_i and its projection B_i = Q_i^H x from one
 block step, which projects every product with x off the basis found so
 far, so each power round multiplies by the residual x - Q*B as in
-randQB_EI (Yu, Gu & Li, SIMAX 2018).  The step runs whole on one
-core.map_chunks walk per block, in chunks of the block, which returns its
-stages' energies; the degeneracy tests run on them after the walk.
+randQB_EI (Yu, Gu & Li, SIMAX 2018).  Each block step is one
+core.map_chunks walk.
 
 The adaptive algorithm does not form the residual tensor.  It tracks the
 squared residual through the recursion E <- E - ||B_i||_F^2, which is
@@ -42,7 +41,6 @@ from .core import (
     gaussian_tensor,
     irfft_tubes,
     map_chunks,
-    resolve_generator,
     residual_energy,
     rfft_tubes,
     row_energies,
@@ -150,12 +148,12 @@ def _next_block(xh: np.ndarray, qh: np.ndarray, omega: np.ndarray, i3: int, scal
     x q, so every product multiplies by the residual.  Each normalized
     block is then projected and orthonormalized passes more times, as the
     precision floor needs ("twice is enough").  An empty qh costs no work.
-    The whole step runs on one core.map_chunks walk, in the chunks of the
-    wider of the q and b stacks, and returns (q, b).  Each chunk returns the
-    energies of the stacks its stages orthonormalize; after the walk their
-    sums are tested in stage order, and the first whose root-mean-square
-    entry is at most ZERO_INPUT_RTOL times its scale (that of x, or 1 for
-    the passes) raises DegenerateInput.
+    The step walks the chunks of the wider of the q and b stacks by
+    core.map_chunks and returns (q, b).  Each chunk returns the energies of
+    the stacks its stages orthonormalize; after the walk their sums are
+    tested in stage order, and the first whose root-mean-square entry is at
+    most ZERO_INPUT_RTOL times its scale (that of x, or 1 for the passes)
+    raises DegenerateInput.
     """
     k, i1, i2 = xh.shape
     r = omega.shape[2]
@@ -203,15 +201,15 @@ def randomized_tsvd(x: np.ndarray, rank: int, oversample: int, power_iters: int,
     (orthonormalizing after every half-step for stability), projects, and
     recovers the factors from the truncated t-SVD of the projection.
     randomized_spectral runs it all on the half spectrum of x, transformed once,
-    and tsvd_factors inverts its result.  rng is an RngStream or a numpy
-    Generator; anything else raises SpecInvalid before x is transformed.
+    and tsvd_factors inverts its result.  rng must be an RngStream, else
+    SpecInvalid before x is transformed.
     """
-    gen = resolve_generator(rng)
+    check_seed(rng)
     x, norm = checked(x, partial(check_sketch, rank, oversample, power_iters))
     # xh is held until u and v are inverted, as in adaptive_qb.
     xh = rfft_tubes(x)
     return tsvd_factors(*randomized_spectral(xh, x.shape[2], norm, rank, oversample,
-                                             power_iters, gen), x.shape[2], like=x)
+                                             power_iters, rng), x.shape[2], like=x)
 
 
 def check_sketch(rank, oversample, power_iters, i1: int, i2: int) -> None:

@@ -1,4 +1,4 @@
-"""Tensor and image file I/O plus index-preserving reshape.
+"""Tensor and image file I/O.
 
 TNS1 format: bytes 0-3 are the magic ``TNS1``; bytes 4-27 are three
 unsigned 64-bit little-endian dimensions I1, I2, I3; the payload is
@@ -7,11 +7,12 @@ I1*I2*I3 IEEE-754 binary64 little-endian values in linear-offset order
 """
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 
-from .core import as_index, as_tensor3
+from .core import as_tensor3
 from .errors import (
     BadHeader,
     BadMagic,
@@ -26,6 +27,12 @@ TNS_MAGIC = b"TNS1"
 
 # Refuse headers whose element count could not fit in memory anyway.
 MAX_ELEMENTS = 2**48
+
+# A PGM header's four tokens (magic, width, height, maxval), after optional
+# separators and between separators: whitespace, or a # comment to the end
+# of its line.
+_PGM_SEP = rb"(?:\s|#[^\n]*(?:\n|\Z))"
+_PGM_HEADER = re.compile(_PGM_SEP + b"*" + (_PGM_SEP + b"+").join([rb"([^\s#]+)"] * 4))
 
 
 def save_tns(x: np.ndarray, path) -> None:
@@ -68,36 +75,12 @@ def load_tns(path) -> np.ndarray:
     return as_tensor3(flat.reshape((i1, i2, i3), order="F"))
 
 
-def reshape3(x: np.ndarray, new_dims) -> np.ndarray:
-    """Relabel indices to new dimensions, preserving linear-offset order."""
-    x = np.asarray(x, dtype=np.float64)
-    j1, j2, j3 = (as_index(d, "dimension", DimMismatch) for d in new_dims)
-    if min(j1, j2, j3) < 1 or j1 * j2 * j3 != x.size:
-        raise DimMismatch(f"cannot reshape {x.shape} to {(j1, j2, j3)}")
-    return np.reshape(x, (j1, j2, j3), order="F")
-
-
 def _read_pgm_tokens(raw: bytes, path) -> tuple:
     """Parse a P5 header, returning (width, height, maxval, payload offset)."""
-    tokens = []
-    pos = 0
-    while len(tokens) < 4 and pos < len(raw):
-        ch = raw[pos:pos + 1]
-        if ch == b"#":
-            eol = raw.find(b"\n", pos)
-            pos = len(raw) if eol < 0 else eol + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(raw) and not raw[end:end + 1].isspace() and raw[end:end + 1] != b"#":
-                end += 1
-            tokens.append(raw[pos:end])
-            pos = end
-            if len(tokens) == 4:
-                pos += 1  # single whitespace byte separates maxval from raster
-    if len(tokens) < 4:
+    m = _PGM_HEADER.match(raw)
+    if m is None:
         raise BadHeader(f"{path}: incomplete PGM header")
+    tokens = m.groups()
     if tokens[0] != b"P5":
         raise BadHeader(f"{path}: not a binary (P5) PGM, got {tokens[0]!r}")
     try:
@@ -108,7 +91,8 @@ def _read_pgm_tokens(raw: bytes, path) -> tuple:
         raise BadHeader(f"{path}: bad PGM dimensions {width}x{height}")
     if maxval != 255:
         raise BadHeader(f"{path}: only 8-bit PGM (maxval 255) is supported, got {maxval}")
-    return width, height, maxval, pos
+    # A single whitespace byte separates maxval from the raster.
+    return width, height, maxval, m.end() + 1
 
 
 def load_pgm(path) -> np.ndarray:

@@ -255,6 +255,19 @@ def test_tsvd_job_refuses_norm_overflow(tmp_path, capsys):
     assert "overflows float64" in capsys.readouterr().err
 
 
+# The transform of x overflows, and numpy warns; tubal_rank then refuses x.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_info_refuses_a_spectrum_that_overflows(tmp_path, capsys):
+    # Finite entries whose spectrum is not: info printed numpy's LinAlgError
+    # traceback after the dims and the norm.
+    tns = tmp_path / "x.tns"
+    save_tns(np.full((3, 3, 4), 1e308), tns)
+    assert run_cli("info", "--in", tns) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tubal: error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
 def test_invalid_delta_exits_1(delta, tmp_path, capsys):
     out = tmp_path / "r.json"

@@ -370,3 +370,24 @@ def test_entries_taking_the_norm_refuse_its_overflow(entry):
     x = gaussian_tensor(20, 15, 7, RngStream(1)) * 1e160
     with pytest.raises(NonFiniteData, match="overflows float64"):
         ENTRIES[entry](x)
+
+
+@pytest.mark.parametrize("entry", ["adaptive_qb", "truncated_tsvd", "tprod", "save_tns"])
+def test_entries_refuse_complex_data(entry, tmp_path):
+    # Unchecked, the cast to float64 dropped the imaginary part with only a
+    # ComplexWarning, and adaptive_qb answered for the real part.
+    call = {"save_tns": lambda x: save_tns(x, tmp_path / "x.tns"),
+            "tprod": lambda x: tprod(x, transpose(x.real))}.get(entry) or ENTRIES[entry]
+    x = gaussian_tensor(6, 5, 4, RngStream(1))
+    with pytest.raises(DimMismatch, match="real tensor"):
+        call(x + 1j * x)
+    assert not (tmp_path / "x.tns").exists()
+
+
+# The transform of x overflows, and numpy warns; the entry then refuses x.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_truncated_tsvd_refuses_a_spectrum_that_overflows():
+    # Finite entries whose spectrum is not: numpy's SVD raised LinAlgError.
+    with pytest.raises(NonFiniteData, match="spectrum"):
+        truncated_tsvd(np.full((3, 3, 4), 1e308), 2)

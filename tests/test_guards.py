@@ -61,7 +61,7 @@ README = BENCHMARK.parent / "README.md"
 NOT_IN_PACKAGE = ("dft_tubes", "idft_tubes", "IMAG_RESIDUE_RTOL", "ImaginaryResidue",
                   "tprod_oracle", "ORACLE_SCALAR_CAP", "SizeGuard", "blocked_randqb_matrix",
                   "_orth_cols", "gaussian_matrix", "num_head_slices", "spectral_pair",
-                  "orth_spectral")
+                  "orth_spectral", "reshape3", "resolve_generator")
 
 
 def test_per_layer_functions_exist():
@@ -554,16 +554,12 @@ SEEDED = {
 @pytest.mark.parametrize("spec", sorted(SEEDED))
 def test_seed_that_is_not_an_rng_stream_is_refused(spec, x_transforms, rand_tensor):
     # Unchecked, an int seed raised TypeError or AttributeError at its first
-    # draw, after x was transformed.
-    with pytest.raises(SpecInvalid, match="RngStream"):
-        SEEDED[spec](5, rand_tensor(8, 7, 4, seed=87))
+    # draw, after x was transformed.  A numpy Generator is refused too: every
+    # entry has one seed rule.
+    for seed in (5, RngStream(5).generator()):
+        with pytest.raises(SpecInvalid, match="RngStream"):
+            SEEDED[spec](seed, rand_tensor(8, 7, 4, seed=87))
     assert not x_transforms
-
-
-def test_randomized_tsvd_takes_a_numpy_generator(rand_tensor):
-    x = rand_tensor(8, 7, 4, seed=87)
-    f = randomized_tsvd(x, 3, 2, 1, RngStream(88).generator())
-    assert f.u.tobytes() == randomized_tsvd(x, 3, 2, 1, RngStream(88)).u.tobytes()
 
 
 def _results_from(x, y, epsilon):

@@ -12,10 +12,8 @@ from tubal import (
     InconsistentDims,
     NonFiniteData,
     TruncatedFile,
-    frobenius_norm,
     load_pgm_stack,
     load_tns,
-    reshape3,
     save_pgm_stack,
     save_tns,
 )
@@ -149,35 +147,6 @@ def test_tns_non_finite_rejected(tmp_path):
         load_tns(path)
 
 
-# ------------------------------------------------------------------- reshape
-
-def test_reshape3_round_trip(rand_tensor):
-    x = rand_tensor(4, 3, 2, seed=3)
-    y = reshape3(x, (2, 3, 4))
-    back = reshape3(y, (4, 3, 2))
-    assert np.array_equal(back, x)
-
-
-def test_reshape3_preserves_linear_order():
-    x = np.arange(24.0).reshape(4, 3, 2, order="F")
-    y = reshape3(x, (2, 3, 4))
-    assert_allclose(y.ravel(order="F"), np.arange(24.0), atol=0)
-
-
-def test_reshape3_preserves_norm(rand_tensor):
-    x = rand_tensor(6, 5, 4, seed=4)
-    assert frobenius_norm(reshape3(x, (4, 5, 6))) == frobenius_norm(x)
-
-
-def test_reshape3_size_mismatch(rand_tensor):
-    with pytest.raises(DimMismatch):
-        reshape3(rand_tensor(4, 3, 2, seed=5), (4, 3, 3))
-    with pytest.raises(DimMismatch):
-        reshape3(rand_tensor(4, 3, 2, seed=5), (-4, -3, 2))
-    with pytest.raises(DimMismatch, match="must be an integer"):
-        reshape3(rand_tensor(2, 3, 4, seed=5), (2.9, 3, 4))
-
-
 # ----------------------------------------------------------------------- PGM
 
 def _write_pgm(path, width, height, pixels, maxval=255, magic=b"P5"):
@@ -201,6 +170,25 @@ def test_pgm_stack_order_and_scale(tmp_path):
     assert x.shape == (2, 2, 2)
     assert_allclose(x[:, :, 0], [[0, 1], [0, 1]], atol=0)  # a.pgm sorts first
     assert_allclose(x[:, :, 1], [[1, 1], [0, 0]], atol=0)
+
+
+@pytest.mark.parametrize("raw, want", [
+    (b"P5#a\n3#b\n2\n#c\n255\n", (3, 2, 255, 18)),  # comments glued to tokens
+    (b"P5 3 2#x\n255 ", (3, 2, 255, 13)),
+    (b"P5\r3\t2\x0b255\x0c", (3, 2, 255, 11)),  # CR, TAB, VT and FF separate too
+    (b"P5 3 2 255#", (3, 2, 255, 11)),  # the byte after maxval is skipped, whatever it is
+    (b"\n#c\nP5 3 2 255\n", (3, 2, 255, 15)),
+    (b"P5 3 2 #c", "incomplete PGM header"),  # the header ends inside a comment
+    (b"P5 3 2", "incomplete PGM header"),
+    (b"P5 3 x 255\n", "non-numeric"),
+    (b"P5 0 2 255\n", "bad PGM dimensions"),
+])
+def test_pgm_header_tokens(raw, want):
+    if isinstance(want, str):
+        with pytest.raises(BadHeader, match=want):
+            tubal.tio._read_pgm_tokens(raw, "h.pgm")
+    else:
+        assert tubal.tio._read_pgm_tokens(raw, "h.pgm") == want
 
 
 def test_pgm_stack_with_comment_header(tmp_path):
