@@ -235,8 +235,8 @@ def identity_tensor(i1: int, i3: int) -> np.ndarray:
 
 
 def frobenius_norm(x: np.ndarray) -> float:
-    """||x||_F of a real tensor by einsum's fixed-order loop, the same at any BLAS thread count."""
-    v = np.ravel(np.asarray(x, dtype=np.float64), "K")
+    """||third_order(x)||_F by einsum's fixed-order loop, the same at any BLAS thread count."""
+    v = np.ravel(third_order(x), "K")
     return float(np.sqrt(np.einsum("i,i->", v, v)))
 
 

@@ -43,10 +43,17 @@ class TSVDFactors:
         return self.s.shape[0]
 
 
+def _finite(h: np.ndarray) -> np.ndarray:
+    """h, if every entry is finite; else NonFiniteData: the spectrum of finite x overflowed."""
+    if not np.isfinite(h).all():
+        raise NonFiniteData("the spectrum of x overflows float64")
+    return h
+
+
 def t_qr(x: np.ndarray):
     """Tubal QR: returns (q, r) with x = q * r and q of shape (I1, min(I1,I2), I3)."""
     x = as_tensor3(x)
-    qh, rh = np.linalg.qr(rfft_tubes(x))
+    qh, rh = np.linalg.qr(_finite(rfft_tubes(x)))
     return irfft_tubes(qh, x.shape[2], like=x), irfft_tubes(rh, x.shape[2], like=x)
 
 
@@ -59,7 +66,7 @@ def orth(x: np.ndarray) -> np.ndarray:
     x = as_tensor3(x)
     if not x.any():
         raise DegenerateInput("cannot orthonormalize a zero tensor")
-    return irfft_tubes(np.linalg.qr(rfft_tubes(x))[0], x.shape[2], like=x)
+    return irfft_tubes(np.linalg.qr(_finite(rfft_tubes(x)))[0], x.shape[2], like=x)
 
 
 def check_rank(rank, i1: int, i2: int) -> int:
@@ -126,10 +133,7 @@ def svd_spectral(h: np.ndarray, rank: int):
         del w
         bad = np.flatnonzero(~ok)
         if bad.size:
-            hb = hc[bad]
-            if not np.isfinite(hb).all():
-                raise NonFiniteData("the spectrum of x overflows float64")
-            ub, sb, vhb = np.linalg.svd(hb, full_matrices=False)
+            ub, sb, vhb = np.linalg.svd(_finite(hc[bad]), full_matrices=False)
             uc[bad], sc[bad], vhc[bad] = ub[:, :, :rank], sb[:, :rank], vhb[:, :rank]
 
     map_chunks(fn, h)
@@ -179,10 +183,7 @@ def tubal_rank(x: np.ndarray) -> int:
     examined.
     """
     x = as_tensor3(x)
-    h = rfft_tubes(x)
-    if not np.isfinite(h).all():
-        raise NonFiniteData("the spectrum of x overflows float64")
-    svals = np.linalg.svd(h, compute_uv=False)
+    svals = np.linalg.svd(_finite(rfft_tubes(x)), compute_uv=False)
     smax = float(svals.max(initial=0.0))
     tol = max(x.shape[0], x.shape[1]) * np.spacing(smax)
     return int((svals > tol).sum(axis=1).max())

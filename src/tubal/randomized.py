@@ -13,8 +13,8 @@ qb_spectral lifts every QB pair to the t-SVD triple that decomp.tsvd_factors inv
 Both take each new block Q_i and its projection B_i = Q_i^H x from one
 block step, which projects every product with x off the basis found so
 far, so each power round multiplies by the residual x - Q*B as in
-randQB_EI (Yu, Gu & Li, SIMAX 2018).  Each block step is one
-core.map_chunks walk.
+randQB_EI (Yu, Gu & Li, SIMAX 2018).  Each block step draws its own
+sketch and scale and is one core.map_chunks walk.
 
 The adaptive algorithm does not form the residual tensor.  It tracks the
 squared residual through the recursion E <- E - ||B_i||_F^2, which is
@@ -132,33 +132,30 @@ class QBApprox:
         return self.b.shape[0]
 
 
-def _rms_scale(norm: float, size: int) -> float:
-    """||x||_F / sqrt(x.size), each core's scale; a non-finite norm raises NonFiniteData."""
-    if not np.isfinite(norm):
-        raise NonFiniteData(f"norm must be finite, got {norm}")
-    return norm / np.sqrt(max(size, 1))
-
-
-def _next_block(xh: np.ndarray, qh: np.ndarray, omega: np.ndarray, i3: int, scale: float,
+def _next_block(xh: np.ndarray, qh: np.ndarray, rng, cols: int, i3: int, norm: float,
                 rounds: int, passes: int):
     """The block step: q, orthonormal, from the sketch xh @ omega and orthogonal to qh; b = q^H xh.
 
-    Each product with x is projected off qh in place and orthonormalized:
-    the sketch, then per round x^H q (q is orthogonal to qh already) and
-    x q, so every product multiplies by the residual.  Each normalized
-    block is then projected and orthonormalized passes more times, as the
-    precision floor needs ("twice is enough").  An empty qh costs no work.
-    The step walks the chunks of the wider of the q and b stacks by
-    core.map_chunks and returns (q, b).  Each chunk returns the energies of
-    the stacks its stages orthonormalize; after the walk their sums are
-    tested in stage order, and the first whose root-mean-square entry is at
-    most ZERO_INPUT_RTOL times its scale (that of x, or 1 for the passes)
-    raises DegenerateInput.
+    omega is the spectrum of gaussian_tensor(I2, cols, i3, rng), drawn before
+    the walk; a non-finite norm = ||x||_F raises NonFiniteData.  Each product
+    with x is projected off qh in place and orthonormalized: the sketch, then
+    per round x^H q (q is orthogonal to qh already) and x q, so every product
+    multiplies by the residual.  Each normalized block is then projected and
+    orthonormalized passes more times, as the precision floor needs ("twice is
+    enough").  An empty qh costs no work.  The step walks the chunks of the
+    wider of the q and b stacks by core.map_chunks and returns (q, b).  Each
+    chunk returns the energies of the stacks its stages orthonormalize; after
+    the walk their sums are tested in stage order, and the first whose
+    root-mean-square entry is at most ZERO_INPUT_RTOL times its scale
+    (norm / sqrt(I1*I2*I3), that of x, or 1 for the passes) raises DegenerateInput.
     """
+    if not np.isfinite(norm):
+        raise NonFiniteData(f"norm must be finite, got {norm}")
     k, i1, i2 = xh.shape
-    r = omega.shape[2]
-    q = np.empty((k, i1, r), dtype=np.complex128)
-    b = np.empty((k, r, i2), dtype=np.complex128)
+    scale = norm / np.sqrt(max(i1 * i2 * i3, 1))
+    omega = rfft_tubes(gaussian_tensor(i2, cols, i3, rng))
+    q = np.empty((k, i1, cols), dtype=np.complex128)
+    b = np.empty((k, cols, i2), dtype=np.complex128)
     w = _parseval_weights(k, i3)
 
     def fn(c):
@@ -187,7 +184,7 @@ def _next_block(xh: np.ndarray, qh: np.ndarray, omega: np.ndarray, i3: int, scal
     totals = np.sum(map_chunks(fn, q if i1 >= i2 else b), axis=0)
     runs = [(scale, i1)] + [(1.0, i1)] * passes
     for e, (s, rows) in zip(totals, runs + ([(scale, i2)] + runs) * rounds, strict=True):
-        if np.sqrt(e) <= ZERO_INPUT_RTOL * np.sqrt(rows * r * i3) * s:
+        if np.sqrt(e) <= ZERO_INPUT_RTOL * np.sqrt(rows * cols * i3) * s:
             raise DegenerateInput("cannot orthonormalize a numerically zero tensor")
     return q, b
 
@@ -234,10 +231,8 @@ def randomized_spectral(xh: np.ndarray, i3: int, norm: float, rank: int, oversam
 
     Returns the qb_spectral triple of the block step's (q, b).
     """
-    i1, i2 = xh.shape[1:]
-    scale = _rms_scale(norm, i1 * i2 * i3)
-    omega = rfft_tubes(gaussian_tensor(i2, rank + oversample, i3, rng))
-    return qb_spectral(*_next_block(xh, xh[:, :, :0], omega, i3, scale, power_iters, 0), rank)
+    return qb_spectral(*_next_block(xh, xh[:, :, :0], rng, rank + oversample, i3, norm,
+                                    power_iters, 0), rank)
 
 
 def qb_spectral(qh: np.ndarray, bh: np.ndarray, rank: int):
@@ -289,7 +284,6 @@ def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
     on the half spectrum; qh and bh may be views of larger stacks.
     """
     i1, i2 = xh.shape[1:]
-    scale = _rms_scale(norm, i1 * i2 * i3)
     max_rank = cfg.rank_cap(i1, i2)
     gen = cfg.seed.generator()
     eps2 = cfg.epsilon ** 2
@@ -302,10 +296,9 @@ def adaptive_spectral(xh: np.ndarray, i3: int, norm: float, cfg: AdaptiveConfig,
 
     while not (achieved := energy < eps2) and bh.shape[1] < max_rank:
         rank = bh.shape[1]
-        omega = rfft_tubes(gaussian_tensor(i2, min(cfg.block_size, max_rank - rank), i3, gen))
         try:
-            q_i, b_i = _next_block(xh, qh, omega, i3, scale, cfg.power_iters,
-                                   2 if floor and rank else 0)
+            q_i, b_i = _next_block(xh, qh, gen, min(cfg.block_size, max_rank - rank), i3, norm,
+                                   cfg.power_iters, 2 if floor and rank else 0)
         except DegenerateInput:
             break
         qh = np.concatenate([qh, q_i], axis=2)

@@ -134,8 +134,8 @@ def load_pgm_stack(source) -> np.ndarray:
     """Load PGM images as one tensor whose frontal slices are the images.
 
     source is a directory, read in pgm_files order, or a list of PGM files,
-    read in the order given.  The result has shape
-    (height, width, num_images), values in [0, 1].
+    read in the order given.  The result, (height, width, num_images) in [0, 1],
+    is not rescanned: the loader checks the frames' count and shape, each uint8 / 255.
     """
     files = pgm_files(source) if isinstance(source, (str, os.PathLike)) else list(source)
     if not files:
@@ -147,7 +147,7 @@ def load_pgm_stack(source) -> np.ndarray:
             raise InconsistentDims(
                 f"{p}: size {img.shape} differs from first image {shape}"
             )
-    return as_tensor3(np.stack(images, axis=2))
+    return np.stack(images, axis=2)
 
 
 def save_pgm_stack(dir_path, x: np.ndarray, names=None) -> None:

@@ -39,9 +39,12 @@ def is_orthogonal(q: np.ndarray, tol: float) -> bool:
     For q of shape (I1, R, I3) with R < I1 this is the one-sided check that
     the Q factor of a tubal QR satisfies; the two-sided definition of an
     orthogonal tensor applies only when R = I1.  The norm is taken on the
-    half spectrum, where the identity is eye(R) in every slice.
+    half spectrum, where the identity is eye(R) in every slice.  A Gram or
+    residual that overflows float64 answers False, without a warning.
     """
-    r, i3 = as_tensor3(q).shape[1:]
+    q = as_tensor3(q)
+    r, i3 = q.shape[1:]
     qh = rfft_tubes(q)
-    gram = adjoint(qh) @ qh - np.eye(r)
-    return np.sqrt(row_energies(gram, i3).sum()) <= tol * np.sqrt(r * i3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = adjoint(qh) @ qh - np.eye(r)
+        return bool(np.sqrt(row_energies(gram, i3).sum()) <= tol * np.sqrt(r * i3))

@@ -284,16 +284,28 @@ def test_usage_error_exits_1(tmp_path):
     assert exc.value.code == 1
 
 
-def _child_report(out, *args, **env):
-    """The --out report of ``python -m tubal.cli *args`` in a child process, less wall_time_ms."""
-    # The child imports tubal from where this process did.
+def _child(*args, **env):
+    """``python -m tubal.cli *args`` in a child process, which imports tubal from where this one did."""
     src = str(Path(tubal.__file__).resolve().parents[1])
     env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "tubal.cli", *map(str, args), "--out", str(out)],
+    return subprocess.run([sys.executable, "-m", "tubal.cli", *map(str, args)],
                           capture_output=True, text=True, env=env)
+
+
+def _child_report(out, *args, **env):
+    """The --out report of ``python -m tubal.cli *args`` in a child process, less wall_time_ms."""
+    proc = _child(*args, "--out", out, **env)
     assert proc.returncode == 0, proc.stderr
     return [ln for ln in out.read_text().splitlines() if "wall_time_ms" not in ln]
+
+
+def test_module_entry_runs_info(tmp_path):
+    # python -m tubal.cli runs main, the console entry, through the module's __main__ guard.
+    save_tns(gaussian_tensor(5, 4, 3, RngStream(3)), tmp_path / "x.tns")
+    proc = _child("info", "--in", tmp_path / "x.tns")
+    assert proc.returncode == 0, proc.stderr
+    assert "dims: 5 x 4 x 3" in proc.stdout.splitlines()
 
 
 def test_repeated_process_runs_identical_modulo_walltime(tmp_path):

@@ -7,13 +7,17 @@ import tubal.core
 from tubal import (
     AdaptiveConfig,
     DimMismatch,
+    EmptyDir,
     NonFiniteData,
     RngStream,
+    SpecInvalid,
     adaptive_qb,
     frobenius_norm,
     gaussian_tensor,
+    hilbert_tensor,
     identity_tensor,
     is_orthogonal,
+    load_pgm_stack,
     orth,
     randomized_tsvd,
     run_adaptive,
@@ -26,7 +30,9 @@ from tubal import (
     truncated_tsvd,
     tubal_rank,
 )
+from tubal.bench import decay_profile
 from tubal.core import concat_mode1, concat_mode2, irfft_tubes, residual_energy, rfft_tubes
+from tubal.tio import save_pgm
 from conftest import LAYOUTS, naive_dft_tubes
 from references import ImaginaryResidue, dft_tubes, idft_tubes, tprod_oracle
 
@@ -372,12 +378,15 @@ def test_entries_taking_the_norm_refuse_its_overflow(entry):
         ENTRIES[entry](x)
 
 
-@pytest.mark.parametrize("entry", ["adaptive_qb", "truncated_tsvd", "tprod", "save_tns"])
+@pytest.mark.parametrize("entry", ["adaptive_qb", "truncated_tsvd", "tprod", "save_tns",
+                                   "frobenius_norm"])
 def test_entries_refuse_complex_data(entry, tmp_path):
     # Unchecked, the cast to float64 dropped the imaginary part with only a
-    # ComplexWarning, and adaptive_qb answered for the real part.
+    # ComplexWarning, and adaptive_qb answered for the real part;
+    # frobenius_norm cast on its own and returned the real part's norm.
     call = {"save_tns": lambda x: save_tns(x, tmp_path / "x.tns"),
-            "tprod": lambda x: tprod(x, transpose(x.real))}.get(entry) or ENTRIES[entry]
+            "tprod": lambda x: tprod(x, transpose(x.real)),
+            "frobenius_norm": frobenius_norm}.get(entry) or ENTRIES[entry]
     x = gaussian_tensor(6, 5, 4, RngStream(1))
     with pytest.raises(DimMismatch, match="real tensor"):
         call(x + 1j * x)
@@ -387,7 +396,30 @@ def test_entries_refuse_complex_data(entry, tmp_path):
 # The transform of x overflows, and numpy warns; the entry then refuses x.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_truncated_tsvd_refuses_a_spectrum_that_overflows():
-    # Finite entries whose spectrum is not: numpy's SVD raised LinAlgError.
+@pytest.mark.parametrize("entry", ["truncated_tsvd", "tubal_rank", "t_qr", "orth"])
+def test_entries_refuse_a_spectrum_that_overflows(entry):
+    # Finite entries whose spectrum is not: numpy's SVD raised LinAlgError,
+    # and t_qr and orth returned factors with NaN entries.
     with pytest.raises(NonFiniteData, match="spectrum"):
-        truncated_tsvd(np.full((3, 3, 4), 1e308), 2)
+        ENTRIES[entry](np.full((3, 3, 4), 1e308))
+
+
+def test_is_orthogonal_answers_false_when_the_gram_overflows():
+    # The Gram of q overflows: the answer is False, and numpy does not warn.
+    assert is_orthogonal(gaussian_tensor(6, 5, 4, RngStream(1)) * 1e300, 1e-8) is False
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda tmp: decay_profile("hilbert-1", 5, 1), SpecInvalid),
+    (lambda tmp: hilbert_tensor(3, 4), SpecInvalid),
+    (lambda tmp: gaussian_tensor(0, 2, 2, RngStream(0)), DimMismatch),
+    (lambda tmp: gaussian_tensor(2, 2, 2, 7), SpecInvalid),
+    (lambda tmp: AdaptiveConfig(1.0, 2, max_rank=0), SpecInvalid),
+    (lambda tmp: save_pgm(tmp / "x.pgm", np.zeros((2, 2, 2))), DimMismatch),
+    (lambda tmp: load_pgm_stack([]), EmptyDir),
+], ids=["decay_profile", "hilbert_tensor", "gaussian_tensor-dims", "gaussian_tensor-rng",
+        "AdaptiveConfig-max_rank", "save_pgm", "load_pgm_stack"])
+def test_refusals_of_sizes_sources_and_files(call, error, tmp_path):
+    with pytest.raises(error):
+        call(tmp_path)
+    assert not (tmp_path / "x.pgm").exists()

@@ -34,6 +34,7 @@ from tubal import (
     SyntheticSpec,
     adaptive_qb,
     frobenius_norm,
+    gaussian_tensor,
     gen_synthetic,
     orth,
     qb_to_tsvd,
@@ -61,7 +62,7 @@ README = BENCHMARK.parent / "README.md"
 NOT_IN_PACKAGE = ("dft_tubes", "idft_tubes", "IMAG_RESIDUE_RTOL", "ImaginaryResidue",
                   "tprod_oracle", "ORACLE_SCALAR_CAP", "SizeGuard", "blocked_randqb_matrix",
                   "_orth_cols", "gaussian_matrix", "num_head_slices", "spectral_pair",
-                  "orth_spectral", "reshape3", "resolve_generator")
+                  "orth_spectral", "reshape3", "resolve_generator", "_rms_scale")
 
 
 def test_per_layer_functions_exist():
@@ -208,6 +209,21 @@ def test_generator_draws_and_transforms_only_what_it_keeps(case, x_transforms, g
     assert gaussian_draws.count(n ** 3) == 1 and gaussian_draws[-1] == n ** 3
     assert bool(x_transforms) == (case == "exact-lowrank")
     assert max(x_transforms, default=0) <= n * rank * n
+
+
+def test_block_steps_draw_their_sketches_from_one_generator(gaussian_draws, monkeypatch):
+    # Each block step draws an I2 x cols x I3 sketch: the adaptive run takes
+    # blocks of 4, 4 and, at the rank cap, 2 from one generator, and the
+    # fixed-rank run one of rank + oversample columns.
+    x = gaussian_tensor(30, 20, 6, RngStream(70))
+    made, spy = [], RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: made.append(self) or spy(self))
+    gaussian_draws.clear()
+    adaptive_qb(x, AdaptiveConfig(1e-9, 4, max_rank=10, seed=RngStream(71)))
+    assert gaussian_draws == [480, 480, 240] and made == [RngStream(71)]
+    gaussian_draws.clear()
+    randomized_tsvd(x, 5, 3, 1, RngStream(72))
+    assert gaussian_draws == [960]
 
 
 def test_cli_adaptive_job_transforms_only_x(x_transforms, tmp_path, rand_tensor):
